@@ -17,11 +17,14 @@ test:
 	$(GO) test ./...
 
 # check is the CI gate: vet, the full suite under the race detector, and
-# one plain pass so the fuzz corpus seeds run as regression tests.
+# one plain pass so the fuzz corpus seeds run as regression tests. The
+# benchmark under lbicbench/ is its own module, which the root ./... skips;
+# its ledger links the internal packages, so it is vetted and tested too.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/
+	cd lbicbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

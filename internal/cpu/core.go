@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"lbic/internal/cache"
 	"lbic/internal/isa"
@@ -58,19 +58,35 @@ type event struct {
 	idx  int32 // RUU index (evExec/evAGU/evMem) or store buffer slot (evWrite)
 }
 
+// entry is one RUU slot. It keeps only what the timing model reads after
+// dispatch (40 bytes), so the Table 1 window of 1024 entries fits a host L1
+// data cache; a record's value, PC, opcode and source registers never enter
+// the window (the verifier sees the whole record at dispatch).
 type entry struct {
-	dyn       trace.Dyn
+	seq       uint64
+	addr      uint64
+	class     isa.Class
+	size      uint8
+	dst       isa.Reg
 	state     state
 	src1Ready bool
 	src2Ready bool
 	addrDone  bool
-	deps      []int32 // packed dependent links: ruuIdx<<2 | operand
 	// waiterHead chains the loads forward-parked on this entry (a store);
 	// waiterNext threads this entry into another entry's chain (a load).
 	// -1 terminates. The chains replace the old per-seq waiter map.
 	waiterHead int32
 	waiterNext int32
+	// depHead and depTail delimit the FIFO chain of operands waiting on this
+	// entry's result. A link is consumer<<1 | (operand-1), threaded through
+	// Core.depNext; -1 terminates.
+	depHead int32
+	depTail int32
 }
+
+func (e *entry) isLoad() bool  { return e.class == isa.ClassLoad }
+func (e *entry) isStore() bool { return e.class == isa.ClassStore }
+func (e *entry) isMem() bool   { return e.class == isa.ClassLoad || e.class == isa.ClassStore }
 
 // fwdRef tracks an in-flight store for store-to-load forwarding, indexed by
 // the 8-byte-aligned address granules the store touches (see fwdTable).
@@ -145,6 +161,12 @@ type Core struct {
 	count   int
 	nextSeq uint64
 
+	// depNext threads the dependent chains (entry.depHead/depTail): link
+	// consumer<<1 | (operand-1) holds the next link of its producer's chain.
+	// An operand waits on at most one producer, so two links per RUU slot
+	// suffice and wiring never allocates.
+	depNext []int32
+
 	// One-instruction lookahead into the stream.
 	peeked    bool
 	peekDyn   trace.Dyn
@@ -152,7 +174,11 @@ type Core struct {
 
 	lastWriter [isa.NumRegs]int32 // RUU index producing each register, -1 if none
 
-	readyQ readyHeap
+	// ready is the ready set, one bit per RUU slot; readyCount counts its
+	// members. Dispatch fills the ring in seq order, so slot order counted
+	// from head is age order and issue walks the bits from head.
+	ready      []uint64
+	readyCount int
 
 	wheel [wheelSize][]event
 
@@ -163,7 +189,7 @@ type Core struct {
 	orderParked []int32    // loads blocked on unknown older store addresses
 	orderedMin  uint64     // barrier seq at the last orderParked scan (see releaseOrderParked)
 	fwd         fwdTable   // store-forwarding index by address granule
-	memPending  []int32    // loads ready for a port, ascending seq
+	pending     pendWin    // loads ready for a port, ascending seq
 
 	// Committed store buffer (FIFO ring over slots).
 	storeBuf    []storeBufEntry
@@ -182,8 +208,7 @@ type Core struct {
 
 	// Pooled scratch for per-cycle stages, so steady-state stepping never
 	// allocates.
-	releaseScratch  []int32
-	sidelineScratch []int32
+	releaseScratch []int32
 
 	// arbQuiescent is non-nil when the arbiter implements ports.Quiescer;
 	// fast-forward needs it to prove the arbiter holds no queued work.
@@ -228,6 +253,8 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		hier:     hier,
 		arb:      arb,
 		entries:  make([]entry, cfg.RUUSize),
+		depNext:  make([]int32, 2*cfg.RUUSize),
+		ready:    make([]uint64, (cfg.RUUSize+63)/64),
 		storeBuf: make([]storeBufEntry, cfg.StoreBufferSize),
 		grantHist: metrics.NewHistogram("cpu.grants_per_cycle",
 			"port grants per cycle (arbiter bandwidth actually used)",
@@ -248,16 +275,16 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		c.lastWriter[r] = -1
 	}
 	for i := range c.entries {
-		c.entries[i].waiterHead = -1
-		c.entries[i].waiterNext = -1
+		c.entries[i] = entry{waiterHead: -1, waiterNext: -1, depHead: -1, depTail: -1}
 	}
+	// Every pending load holds an LSQ slot.
+	c.pending.init(cfg.LSQSize)
 	// Every store with a generated address is in the LSQ or the store buffer
 	// and touches at most two granules, bounding the forwarding index.
 	c.fwd.init(2 * (cfg.LSQSize + cfg.StoreBufferSize))
 	if q, ok := arb.(ports.Quiescer); ok {
 		c.arbQuiescent = q.Quiescent
 	}
-	c.readyQ.core = c
 	return c, nil
 }
 
@@ -338,8 +365,8 @@ func (c *Core) RunContext(ctx context.Context) (Stats, error) {
 // Step advances the simulation by one cycle.
 func (c *Core) Step() error {
 	if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
-		return fmt.Errorf("cpu: exceeded %d cycles (committed %d of %d dispatched; RUU %d, head state %d)",
-			c.cfg.MaxCycles, c.stats.Committed, c.stats.Dispatched, c.count, c.entries[c.head].state)
+		return fmt.Errorf("cpu: exceeded %d cycles (committed %d of %d dispatched; RUU %d, head %s)",
+			c.cfg.MaxCycles, c.stats.Committed, c.stats.Dispatched, c.count, c.HeadState())
 	}
 	commit0 := c.stats.Committed
 	sbStall0 := c.stats.CommitStallStoreBuf
@@ -412,14 +439,17 @@ func (c *Core) processEvents() {
 	}
 }
 
-// complete marks an instruction's result ready and wakes dependents.
+// complete marks an instruction's result ready and wakes its dependents in
+// the order they were wired.
 func (c *Core) complete(idx int32) {
 	e := &c.entries[idx]
 	e.state = stDone
-	deps := e.deps
-	e.deps = e.deps[:0]
-	for _, d := range deps {
-		c.wake(d>>2, int(d&3))
+	l := e.depHead
+	e.depHead, e.depTail = -1, -1
+	for l >= 0 {
+		next := c.depNext[l]
+		c.wake(l>>1, int(l&1)+1)
+		l = next
 	}
 }
 
@@ -431,7 +461,7 @@ func (c *Core) wake(idx int32, operand int) {
 		e.src2Ready = true
 	}
 	switch {
-	case e.dyn.IsStore():
+	case e.isStore():
 		if operand == 1 && e.state == stWaiting {
 			c.pushReady(idx)
 		} else if operand == 2 && e.state == stWaitData {
@@ -444,7 +474,8 @@ func (c *Core) wake(idx int32, operand int) {
 
 func (c *Core) pushReady(idx int32) {
 	c.entries[idx].state = stReady
-	c.readyQ.push(idx)
+	c.ready[idx>>6] |= 1 << (idx & 63)
+	c.readyCount++
 }
 
 // --- stores: address generation, completion, forwarding bookkeeping ---
@@ -453,8 +484,8 @@ func (c *Core) pushReady(idx int32) {
 func (c *Core) addrGenerated(idx int32) {
 	e := &c.entries[idx]
 	e.addrDone = true
-	if e.dyn.IsStore() {
-		c.registerForward(e.dyn.Seq, e.dyn.Addr, e.dyn.Size, idx)
+	if e.isStore() {
+		c.registerForward(e.seq, e.addr, e.size, idx)
 		if e.src2Ready {
 			c.storeDone(idx)
 		} else {
@@ -528,7 +559,7 @@ func (c *Core) minUnknownStoreSeq() uint64 {
 	for c.soHead < len(c.storeOrder) {
 		ref := c.storeOrder[c.soHead]
 		e := &c.entries[ref.idx]
-		if e.dyn.Seq == ref.seq && !e.addrDone {
+		if e.seq == ref.seq && !e.addrDone {
 			c.compactStoreOrder()
 			return ref.seq
 		}
@@ -554,7 +585,7 @@ func (c *Core) compactStoreOrder() {
 // park on ordering, forward, park on a store, or queue for a cache port.
 func (c *Core) routeLoad(idx int32) {
 	e := &c.entries[idx]
-	if c.minUnknownStoreSeq() < e.dyn.Seq {
+	if c.minUnknownStoreSeq() < e.seq {
 		e.state = stOrderParked
 		c.orderParked = append(c.orderParked, idx)
 		c.stats.OrderingStalls++
@@ -564,7 +595,7 @@ func (c *Core) routeLoad(idx int32) {
 	case fwdServiced:
 		c.stats.Forwards++
 		if c.verify != nil {
-			c.verify.ObserveForward(c.now, e.dyn.Seq, best.seq)
+			c.verify.ObserveForward(c.now, e.seq, best.seq)
 		}
 		c.schedule(c.now+1, event{kind: evMem, idx: idx})
 		e.state = stMemWait
@@ -583,7 +614,7 @@ func (c *Core) routeLoad(idx int32) {
 		return
 	}
 	e.state = stMemPending
-	c.insertMemPending(idx)
+	c.pending.insert(ports.Request{Seq: e.seq, Addr: e.addr}, idx)
 }
 
 // fwdDisposition is the result of a forwarding lookup.
@@ -604,7 +635,7 @@ const (
 // identifies that store (seq for reporting, ruu for where to park).
 func (c *Core) tryForward(idx int32) (fwdRef, fwdDisposition) {
 	e := &c.entries[idx]
-	addr, size, seq := e.dyn.Addr, e.dyn.Size, e.dyn.Seq
+	addr, size, seq := e.addr, e.size, e.seq
 	g0, g1 := granules(addr, size)
 	best := fwdRef{}
 	found := false
@@ -642,26 +673,6 @@ func (c *Core) tryForward(idx int32) (fwdRef, fwdDisposition) {
 	return best, fwdBlocked
 }
 
-func (c *Core) insertMemPending(idx int32) {
-	seq := c.entries[idx].dyn.Seq
-	i := sort.Search(len(c.memPending), func(i int) bool {
-		return c.entries[c.memPending[i]].dyn.Seq > seq
-	})
-	c.memPending = append(c.memPending, 0)
-	copy(c.memPending[i+1:], c.memPending[i:])
-	c.memPending[i] = idx
-}
-
-func (c *Core) removeMemPending(idx int32) {
-	seq := c.entries[idx].dyn.Seq
-	i := sort.Search(len(c.memPending), func(i int) bool {
-		return c.entries[c.memPending[i]].dyn.Seq >= seq
-	})
-	if i < len(c.memPending) && c.memPending[i] == idx {
-		c.memPending = append(c.memPending[:i], c.memPending[i+1:]...)
-	}
-}
-
 // releaseOrderParked re-routes loads whose ordering barrier has cleared.
 //
 // The scan is skipped while the barrier sequence is unchanged since the last
@@ -681,7 +692,7 @@ func (c *Core) releaseOrderParked() {
 	kept := c.orderParked[:0]
 	release := c.releaseScratch[:0]
 	for _, idx := range c.orderParked {
-		if c.entries[idx].dyn.Seq < min {
+		if c.entries[idx].seq < min {
 			release = append(release, idx)
 		} else {
 			kept = append(kept, idx)
@@ -703,7 +714,7 @@ func (c *Core) commit() {
 		if e.state != stDone {
 			return
 		}
-		if e.dyn.IsStore() {
+		if e.isStore() {
 			if c.sbCount == c.cfg.StoreBufferSize {
 				c.stats.CommitStallStoreBuf++
 				return
@@ -713,24 +724,23 @@ func (c *Core) commit() {
 				slot -= c.cfg.StoreBufferSize
 			}
 			// Waiters parked on the RUU entry migrate to the slot's chain.
-			c.storeBuf[slot] = storeBufEntry{seq: e.dyn.Seq, addr: e.dyn.Addr, size: e.dyn.Size,
+			c.storeBuf[slot] = storeBufEntry{seq: e.seq, addr: e.addr, size: e.size,
 				live: true, waiterHead: e.waiterHead}
 			e.waiterHead = -1
 			c.sbCount++
 			c.sbUngranted++
 			c.storeLive++
-			c.commitForward(e.dyn.Seq, e.dyn.Addr, e.dyn.Size, slot)
+			c.commitForward(e.seq, e.addr, e.size, slot)
 			c.stats.Stores++
 			c.lsqCount--
-		} else if e.dyn.IsLoad() {
+		} else if e.isLoad() {
 			c.stats.Loads++
 			c.lsqCount--
 		}
-		if d := e.dyn.Dst; d != isa.RegNone && c.lastWriter[d] == idx {
+		if d := e.dst; d != isa.RegNone && c.lastWriter[d] == idx {
 			c.lastWriter[d] = -1
 		}
 		e.state = stEmpty
-		e.deps = e.deps[:0]
 		if c.head++; c.head == c.cfg.RUUSize {
 			c.head = 0
 		}
@@ -765,13 +775,13 @@ func (c *Core) memoryIssue() {
 			}
 		}
 	}
-	for _, idx := range c.memPending {
-		if len(c.reqBuf) >= c.cfg.MemScanDepth {
-			break
-		}
-		e := &c.entries[idx]
-		c.reqBuf = append(c.reqBuf, ports.Request{Seq: e.dyn.Seq, Addr: e.dyn.Addr, Store: false})
-		c.reqIdx = append(c.reqIdx, idx)
+	// The oldest pending loads fill the rest of the scan window. They are
+	// copied, not aliased: the grant loop below removes granted loads from
+	// the window and store grants can route newly woken loads into it.
+	if n := c.cfg.MemScanDepth - len(c.reqBuf); n > 0 {
+		reqs, idx := c.pending.front(n)
+		c.reqBuf = append(c.reqBuf, reqs...)
+		c.reqIdx = append(c.reqIdx, idx...)
 	}
 	if len(c.reqBuf) == 0 {
 		// Still give stateful arbiters (LBIC store-queue drain) their cycle.
@@ -821,7 +831,7 @@ func (c *Core) memoryIssue() {
 				c.dropForward(sb.seq, sb.addr, sb.size)
 				c.wakeChain(&sb.waiterHead)
 			} else {
-				c.removeMemPending(id)
+				c.pending.remove(r.Seq)
 				c.entries[id].state = stMemWait
 			}
 		}
@@ -884,38 +894,60 @@ func (c *Core) fuOccupy(cl isa.Class) {
 	c.fuBusy[cl] = append(c.fuBusy[cl], c.now+uint64(lat.Issue))
 }
 
+// issue walks the ready set in age order: the bits from head to the end of
+// the ring, then from slot 0 back up to head. An entry whose functional unit
+// is busy is skipped and stays in the set for the next cycle. The walk stops
+// when the issue budget is spent or every member counted at the start has
+// been visited, so it never pays for the empty words past the youngest one.
 func (c *Core) issue() {
+	left := c.readyCount
+	if left == 0 {
+		return
+	}
 	for cl := range c.fuUsed {
 		c.fuUsed[cl] = 0
 	}
 	budget := c.cfg.IssueWidth
-	attempts := c.readyQ.Len()
-	sidelined := c.sidelineScratch[:0]
-	for budget > 0 && attempts > 0 && c.readyQ.Len() > 0 {
-		attempts--
-		idx := c.readyQ.pop()
-		e := &c.entries[idx]
-		cl := e.dyn.Class
-		if !c.fuAvailable(cl) {
-			sidelined = append(sidelined, idx)
-			continue
+	n := len(c.ready)
+	w0 := c.head >> 6
+	below := uint64(1)<<(c.head&63) - 1 // slots of w0 that precede head
+	for k := 0; k <= n; k++ {
+		w := w0 + k
+		if w >= n {
+			w -= n
 		}
-		c.fuOccupy(cl)
-		budget--
-		c.stats.Issued++
-		c.stats.IssuedByClass[cl]++
-		e.state = stIssued
-		if e.dyn.IsMem() {
-			c.schedule(c.now+uint64(isa.LatencyOf(cl).Total), event{kind: evAGU, idx: idx})
-		} else {
-			c.schedule(c.now+uint64(isa.LatencyOf(cl).Total), event{kind: evExec, idx: idx})
+		word := c.ready[w]
+		switch k {
+		case 0:
+			word &^= below
+		case n:
+			word &= below
+		}
+		for ; word != 0; word &= word - 1 {
+			idx := int32(w<<6 | bits.TrailingZeros64(word))
+			left--
+			e := &c.entries[idx]
+			if cl := e.class; c.fuAvailable(cl) {
+				c.fuOccupy(cl)
+				c.ready[w] &^= 1 << (idx & 63)
+				c.readyCount--
+				c.stats.Issued++
+				c.stats.IssuedByClass[cl]++
+				e.state = stIssued
+				kind := int32(evExec)
+				if e.isMem() {
+					kind = evAGU
+				}
+				c.schedule(c.now+uint64(isa.LatencyOf(cl).Total), event{kind: kind, idx: idx})
+				if budget--; budget == 0 {
+					return
+				}
+			}
+			if left == 0 {
+				return
+			}
 		}
 	}
-	for _, idx := range sidelined {
-		c.entries[idx].state = stReady
-		c.readyQ.push(idx)
-	}
-	c.sidelineScratch = sidelined
 }
 
 // --- dispatch ---
@@ -964,28 +996,29 @@ func (c *Core) dispatch() {
 		c.count++
 		c.stats.Dispatched++
 
-		e := &c.entries[idx]
-		*e = entry{dyn: *dyn, deps: e.deps[:0], waiterHead: -1, waiterNext: -1}
-		e.dyn.Seq = c.nextSeq
+		dyn.Seq = c.nextSeq
 		c.nextSeq++
-		if c.verify != nil && e.dyn.IsMem() {
-			c.verify.ObserveDispatch(&e.dyn)
+		if c.verify != nil && dyn.IsMem() {
+			c.verify.ObserveDispatch(dyn)
 		}
-		e.src1Ready = c.wireSource(e.dyn.Src1, idx, 1)
-		e.src2Ready = c.wireSource(e.dyn.Src2, idx, 2)
+		e := &c.entries[idx]
+		*e = entry{seq: dyn.Seq, addr: dyn.Addr, class: dyn.Class, size: dyn.Size, dst: dyn.Dst,
+			waiterHead: -1, waiterNext: -1, depHead: -1, depTail: -1}
+		e.src1Ready = c.wireSource(dyn.Src1, idx, 1)
+		e.src2Ready = c.wireSource(dyn.Src2, idx, 2)
 
 		switch {
-		case e.dyn.Class == isa.ClassNone:
+		case e.class == isa.ClassNone:
 			e.state = stDone
-		case e.dyn.IsStore():
+		case e.isStore():
 			c.lsqCount++
-			c.storeOrder = append(c.storeOrder, orderRef{seq: e.dyn.Seq, idx: idx})
+			c.storeOrder = append(c.storeOrder, orderRef{seq: e.seq, idx: idx})
 			if e.src1Ready {
 				c.pushReady(idx)
 			} else {
 				e.state = stWaiting
 			}
-		case e.dyn.IsLoad():
+		case e.isLoad():
 			c.lsqCount++
 			fallthrough
 		default:
@@ -995,7 +1028,7 @@ func (c *Core) dispatch() {
 				e.state = stWaiting
 			}
 		}
-		if d := e.dyn.Dst; d != isa.RegNone {
+		if d := e.dst; d != isa.RegNone {
 			c.lastWriter[d] = idx
 		}
 	}
@@ -1015,65 +1048,13 @@ func (c *Core) wireSource(r isa.Reg, idx int32, operand int) bool {
 	if prod.state == stDone {
 		return true
 	}
-	prod.deps = append(prod.deps, idx<<2|int32(operand))
+	l := idx<<1 | int32(operand-1)
+	c.depNext[l] = -1
+	if prod.depTail < 0 {
+		prod.depHead = l
+	} else {
+		c.depNext[prod.depTail] = l
+	}
+	prod.depTail = l
 	return false
-}
-
-// --- ready queue (hand-rolled min-heap by sequence number) ---
-//
-// container/heap would box every int32 through an interface on each
-// push/pop; issue is the hottest stage, so the sift loops are inlined here.
-// Each node carries its entry's (immutable while queued) sequence number so
-// comparisons stay inside the heap's own backing array instead of chasing
-// RUU entries through a cold cache line per probe.
-
-type readyNode struct {
-	seq uint64
-	idx int32
-}
-
-type readyHeap struct {
-	core  *Core
-	nodes []readyNode
-}
-
-// Len returns the number of ready instructions.
-func (h *readyHeap) Len() int { return len(h.nodes) }
-
-func (h *readyHeap) push(v int32) {
-	n := readyNode{seq: h.core.entries[v].dyn.Seq, idx: v}
-	h.nodes = append(h.nodes, n)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if n.seq >= h.nodes[parent].seq {
-			break
-		}
-		h.nodes[i], h.nodes[parent] = h.nodes[parent], h.nodes[i]
-		i = parent
-	}
-}
-
-func (h *readyHeap) pop() int32 {
-	top := h.nodes[0].idx
-	last := len(h.nodes) - 1
-	h.nodes[0] = h.nodes[last]
-	h.nodes = h.nodes[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.nodes[l].seq < h.nodes[smallest].seq {
-			smallest = l
-		}
-		if r < last && h.nodes[r].seq < h.nodes[smallest].seq {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.nodes[i], h.nodes[smallest] = h.nodes[smallest], h.nodes[i]
-		i = smallest
-	}
-	return top
 }

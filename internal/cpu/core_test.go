@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"lbic/internal/cache"
@@ -355,8 +356,14 @@ func TestMaxCyclesGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(); err == nil {
-		t.Error("expected MaxCycles error")
+	_, err = c.Run()
+	if err == nil {
+		t.Fatal("expected MaxCycles error")
+	}
+	// The error names the head's kind and state, as HeadState reports it.
+	head := c.HeadState()
+	if !strings.HasPrefix(head, "load/") || !strings.Contains(err.Error(), "head "+head+")") {
+		t.Errorf("MaxCycles error %q does not name the head state %q", err, head)
 	}
 }
 

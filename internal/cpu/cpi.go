@@ -121,7 +121,7 @@ func (c *Core) accountSkipped(n uint64) {
 	commitBlockedOnSB := false
 	if c.count > 0 {
 		e := &c.entries[c.head]
-		if e.state == stDone && e.dyn.IsStore() && c.sbCount == c.cfg.StoreBufferSize {
+		if e.state == stDone && e.isStore() && c.sbCount == c.cfg.StoreBufferSize {
 			commitBlockedOnSB = true
 			s.CommitStallStoreBuf += n
 		}

@@ -28,14 +28,14 @@ func (c *Core) idleCycles() uint64 {
 	if c.verify != nil || c.arbQuiescent == nil || !c.arbQuiescent() {
 		return 0
 	}
-	if c.readyQ.Len() > 0 || len(c.memPending) > 0 || c.sbUngranted > 0 {
+	if c.readyCount > 0 || c.pending.len() > 0 || c.sbUngranted > 0 {
 		return 0
 	}
 	// Commit must be blocked for the whole span: either the window is empty,
 	// or its head cannot retire (not done, or a store facing a full buffer).
 	if c.count > 0 {
 		e := &c.entries[c.head]
-		if e.state == stDone && !(e.dyn.IsStore() && c.sbCount == c.cfg.StoreBufferSize) {
+		if e.state == stDone && !(e.isStore() && c.sbCount == c.cfg.StoreBufferSize) {
 			return 0
 		}
 	}

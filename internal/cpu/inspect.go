@@ -9,11 +9,11 @@ func (c *Core) InFlight() int { return c.count }
 // LSQLen returns the number of memory operations currently in the LSQ.
 func (c *Core) LSQLen() int { return c.lsqCount }
 
-// ReadyLen returns the number of instructions waiting in the ready queue.
-func (c *Core) ReadyLen() int { return c.readyQ.Len() }
+// ReadyLen returns the number of ready instructions awaiting issue.
+func (c *Core) ReadyLen() int { return c.readyCount }
 
 // MemPendingLen returns the number of loads waiting for a cache port.
-func (c *Core) MemPendingLen() int { return len(c.memPending) }
+func (c *Core) MemPendingLen() int { return c.pending.len() }
 
 // StoreBufferLen returns the committed stores not yet written to the cache.
 func (c *Core) StoreBufferLen() int { return c.storeLive }
@@ -29,9 +29,9 @@ func (c *Core) HeadState() string {
 	}
 	e := &c.entries[c.head]
 	kind := "alu"
-	if e.dyn.IsLoad() {
+	if e.isLoad() {
 		kind = "load"
-	} else if e.dyn.IsStore() {
+	} else if e.isStore() {
 		kind = "store"
 	}
 	return kind + "/" + e.state.String()

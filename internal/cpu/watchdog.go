@@ -79,12 +79,12 @@ func (c *Core) hangError() error {
 		RUUOccupancy:      c.count,
 		LSQOccupancy:      c.lsqCount,
 		StoreBufOccupancy: c.storeLive,
-		MemPending:        len(c.memPending),
+		MemPending:        c.pending.len(),
 		OrderParked:       len(c.orderParked),
 		OldestState:       c.HeadState(),
 	}
 	if c.count > 0 {
-		e.OldestSeq = c.entries[c.head].dyn.Seq
+		e.OldestSeq = c.entries[c.head].seq
 	} else {
 		// Only the committed store buffer remains; its head is the blocker.
 		for i := 0; i < c.sbCount; i++ {

@@ -2,6 +2,7 @@ package tracecache
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -265,25 +266,36 @@ func (c *Cache) Recorded(ctx context.Context, prog *isa.Program, insts uint64) (
 }
 
 // Fingerprint hashes a program's full content (code, data image, entry,
-// name) with FNV-1a, so the cache key distinguishes any two programs that
-// could produce different streams.
+// name), so the cache key distinguishes any two programs that could produce
+// different streams. It folds in a 64-bit word per step, an FNV-style
+// xor-multiply followed by a xorshift that carries high bits back down, since
+// the kernels' data images run to megabytes. Every step is a bijection of the
+// state, so two programs of the same shape that differ in one word never
+// collide. Keys live only in memory; nothing persists a fingerprint.
 func Fingerprint(p *isa.Program) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	h := uint64(offset)
-	byte1 := func(b byte) {
-		h = (h ^ uint64(b)) * prime
-	}
 	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			byte1(byte(v >> (8 * i)))
+		h = (h ^ v) * prime
+		h ^= h >> 32
+	}
+	// bytes hashes the length, then the bytes 8 at a time, the last partial
+	// word zero-padded.
+	bytes := func(b []byte) {
+		word(uint64(len(b)))
+		for ; len(b) >= 8; b = b[8:] {
+			word(binary.LittleEndian.Uint64(b))
+		}
+		if len(b) > 0 {
+			var tail [8]byte
+			copy(tail[:], b)
+			word(binary.LittleEndian.Uint64(tail[:]))
 		}
 	}
-	for i := 0; i < len(p.Name); i++ {
-		byte1(p.Name[i])
-	}
+	bytes([]byte(p.Name))
 	word(uint64(p.Entry))
 	word(uint64(len(p.Code)))
 	for _, in := range p.Code {
@@ -293,10 +305,7 @@ func Fingerprint(p *isa.Program) uint64 {
 	word(uint64(len(p.Data)))
 	for _, s := range p.Data {
 		word(s.Base)
-		word(uint64(len(s.Bytes)))
-		for _, b := range s.Bytes {
-			byte1(b)
-		}
+		bytes(s.Bytes)
 	}
 	return h
 }

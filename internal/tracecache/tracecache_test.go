@@ -218,6 +218,23 @@ func TestFingerprintDistinguishesPrograms(t *testing.T) {
 	if Fingerprint(build(1)) != Fingerprint(build(1)) {
 		t.Fatal("fingerprint is not deterministic")
 	}
+	// The data image is hashed a word at a time; an 11-byte segment ends in
+	// a partial word, and a change to its last byte must still register.
+	withData := func(last byte) *isa.Program {
+		p := build(1)
+		img := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, last}
+		p.Data = []isa.Segment{{Base: 0x1000, Bytes: img}}
+		return p
+	}
+	if Fingerprint(withData(11)) == Fingerprint(withData(12)) {
+		t.Fatal("programs differing only in a trailing data byte share a fingerprint")
+	}
+	// Zero padding of that partial word must not alias a longer image.
+	padded := withData(11)
+	padded.Data[0].Bytes = append(padded.Data[0].Bytes, 0)
+	if Fingerprint(withData(11)) == Fingerprint(padded) {
+		t.Fatal("a data image and its zero-extended copy share a fingerprint")
+	}
 }
 
 // TestStreamNilCache: a nil *Cache serves a live emulator.
