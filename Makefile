@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -42,11 +42,18 @@ bench:
 
 # bench-smoke is the CI gate: one iteration of every benchmark, parsed by
 # benchjson so a broken benchmark or malformed output fails the build, plus
-# one lane-batched table sweep so the -lanes path is exercised end to end.
+# one table sweep so the lane-batched sweep path is exercised end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
 		| $(GO) run ./scripts/benchjson -o /dev/null
-	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 -lanes 4 > /dev/null
+	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 > /dev/null
+
+# tables-golden is the CI gate on output bytes: every table at 20k
+# instructions must match the checked-in JSON the benchmark verifies
+# (lbicbench/driver/testdata/paper-tables.json, read here, never written).
+tables-golden:
+	$(GO) run ./cmd/lbictables -all -insts 20000 -jobs 2 -json -q \
+		| cmp - lbicbench/driver/testdata/paper-tables.json
 
 # bench-diff is the perf regression gate: ns/op drift between the two most
 # recent checked-in benchmark snapshots past the threshold fails unless

@@ -82,7 +82,7 @@ func TestAdversarialReplayByteIdentical(t *testing.T) {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = port
 			cfg.MaxInsts = 0 // whole trace
-			res, err := lbic.SimulateTrace(context.Background(), rt, cfg)
+			res, err := lbic.Simulate(context.Background(), lbic.TraceSource(rt), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestAdversarialBeatsEveryKernel(t *testing.T) {
 				cfg := lbic.DefaultConfig()
 				cfg.Port = port
 				cfg.MaxInsts = m.Insts
-				res, err := lbic.Simulate(prog, cfg)
+				res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package lbic_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,8 @@ func BenchmarkTable2Characteristics(b *testing.B) {
 
 // BenchmarkTable3PortModels regenerates Table 3: IPC of ideal (True),
 // replicated (Repl) and multi-bank (Bank) designs at 1-16 ports, with the
-// SPECint/SPECfp averages the paper reports.
+// SPECint/SPECfp averages the paper reports. Each benchmark's port axis
+// steps as one lane batch off a shared decode cursor.
 func BenchmarkTable3PortModels(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -55,21 +57,6 @@ func BenchmarkTable3PortModels(b *testing.B) {
 					d.Average(kind, 8, experiments.IntNames()),
 					d.Average(kind, 16, experiments.IntNames()))
 			}
-		}
-	}
-}
-
-// BenchmarkTable3PortModelsLaned regenerates Table 3 with each benchmark's
-// port axis stepped as one lane batch off a shared decode cursor (the
-// lbictables default since -lanes). Compare against BenchmarkTable3PortModels
-// — the same 130 simulations run scalar — for the decode-amortization win.
-func BenchmarkTable3PortModelsLaned(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sw := experiments.NewSweep(benchInsts)
-		sw.Lanes = -1
-		if _, err := experiments.Table3(sw); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -226,14 +213,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 					cfg.MaxInsts = benchInsts
 					if mode == "replay" {
 						cfg.Trace = tc
-						if _, err := lbic.Simulate(prog, cfg); err != nil {
+						if _, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg); err != nil {
 							b.Fatal(err) // record outside the timed region
 						}
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res, err := lbic.Simulate(prog, cfg)
+						res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -1,6 +1,7 @@
 package lbic_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestAnalyticPortBound(t *testing.T) {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = lbic.IdealPort(p)
 			cfg.MaxInsts = 60_000
-			res, err := lbic.Simulate(prog, cfg)
+			res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestSimConfigErrors(t *testing.T) {
 		cfg := lbic.DefaultConfig()
 		cfg.MaxInsts = 100
 		mutate(&cfg)
-		_, err := lbic.Simulate(prog, cfg)
+		_, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		return err
 	}
 	cases := []struct {

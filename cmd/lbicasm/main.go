@@ -88,7 +88,7 @@ func main() {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = *insts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		fatal(err)
 	}

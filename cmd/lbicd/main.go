@@ -66,7 +66,6 @@ func main() {
 		queueLimit   = flag.Int("queue", 1024, "max admitted-but-unfinished cells before 429 (-1 = unlimited)")
 		cellTimeout  = flag.Duration("cell-timeout", 5*time.Minute, "per-cell deadline (0 = none)")
 		retries      = flag.Int("retries", 0, "re-attempts for failed (non-timeout) cells")
-		lanes        = flag.Int("lanes", 0, "lane-batch width for sweep cells sharing one instruction stream (0 or 1 = scalar)")
 		traceCacheMB = flag.Int64("trace-cache-mb", 256, "trace cache budget in MiB (-1 = disable)")
 		resultMB     = flag.Int64("result-cache-mb", 64, "result cache budget in MiB (-1 = disable)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful drain deadline on SIGTERM")
@@ -168,7 +167,6 @@ func main() {
 		QueueLimit:       *queueLimit,
 		CellTimeout:      cellT,
 		Retries:          *retries,
-		Lanes:            *lanes,
 		TraceCacheBytes:  mb(*traceCacheMB),
 		ResultCacheBytes: mb(*resultMB),
 		Log:              log,

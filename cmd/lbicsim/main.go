@@ -119,7 +119,7 @@ func main() {
 	var (
 		prog     *lbic.Program
 		genParam lbic.GenParams
-		replay   *lbic.RecordedTrace
+		src      lbic.Source
 		name     string
 		err      error
 	)
@@ -131,29 +131,29 @@ func main() {
 		} else if f, err = os.Open(*traceIn); err != nil {
 			fatal(err)
 		}
-		replay, err = lbic.ReadTraceStream(f)
+		replay, err := lbic.ReadTraceStream(f)
 		if *traceIn != "-" {
 			f.Close()
 		}
 		if err != nil {
 			fatal(fmt.Errorf("reading %s: %w", *traceIn, err))
 		}
-		name = replay.Name()
+		src, name = lbic.TraceSource(replay), replay.Name()
 	case *genSpec != "":
 		if genParam, err = parseGen(*genSpec); err != nil {
 			fatal(err)
 		}
-		name = genParam.Key()
+		src, name = lbic.GeneratorSource(genParam), genParam.Key()
 	case *pattern != "":
 		if prog, err = lbic.BuildPattern(*pattern); err != nil {
 			fatal(err)
 		}
-		name = prog.Name
+		src, name = lbic.ProgramSource(prog), prog.Name
 	default:
 		if prog, err = lbic.BuildBenchmark(*bench); err != nil {
 			fatal(err)
 		}
-		name = prog.Name
+		src, name = lbic.ProgramSource(prog), prog.Name
 	}
 
 	if *traceDump != "" {
@@ -195,15 +195,7 @@ func main() {
 		spanTrace = lbic.NewRequestTrace()
 		ctx = lbic.WithTrace(ctx, spanTrace)
 	}
-	var res lbic.Result
-	switch {
-	case replay != nil:
-		res, err = lbic.SimulateTrace(ctx, replay, cfg)
-	case *genSpec != "":
-		res, err = lbic.SimulateGenerator(ctx, genParam, cfg)
-	default:
-		res, err = lbic.SimulateContext(ctx, prog, cfg)
-	}
+	res, err := lbic.Simulate(ctx, src, cfg)
 	if spanTrace != nil {
 		f, closeFn, ferr := create(*traceOut)
 		if ferr != nil {

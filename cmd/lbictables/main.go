@@ -47,7 +47,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit JSON tables")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "cells simulated concurrently")
-		lanes      = flag.Int("lanes", 0, "lane-batch width for cells sharing one instruction stream (0 = whole port axis, 1 = scalar)")
 		timeout    = flag.Duration("timeout", 0, "per-cell time limit (0 = none)")
 		retries    = flag.Int("retries", 1, "re-attempts for failed (non-timeout) cells")
 		keepGoing  = flag.Bool("keep-going", false, "render tables with ERR cells instead of stopping at the first failure")
@@ -103,18 +102,6 @@ func main() {
 		sw.Trace = lbic.NewTraceCache(int64(*traceMB) << 20)
 	}
 	sw.Jobs = *jobs
-	// -lanes 0 batches each full shared-stream group (the port axis of a
-	// table row); N >= 2 caps the width; 1 forces the scalar path. Results
-	// are byte-identical at every setting.
-	switch {
-	case *lanes == 0:
-		sw.Lanes = -1
-	case *lanes >= 1:
-		sw.Lanes = *lanes
-	default:
-		fmt.Fprintln(os.Stderr, "lbictables: -lanes must be >= 0")
-		os.Exit(2)
-	}
 	sw.Timeout = *timeout
 	sw.Retries = *retries
 	sw.KeepGoing = *keepGoing

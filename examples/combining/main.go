@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,7 +78,7 @@ func main() {
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
 		cfg.MaxInsts = 300_000
-		res, err := lbic.Simulate(prog, cfg)
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -94,7 +95,7 @@ func main() {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = port
 			cfg.MaxInsts = 300_000
-			res, err := lbic.Simulate(prog, cfg)
+			res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

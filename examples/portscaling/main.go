@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -29,7 +30,7 @@ func main() {
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
 		cfg.MaxInsts = 500_000
-		res, err := lbic.Simulate(prog, cfg)
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 	} {
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
-		res, err := lbic.Simulate(prog, cfg)
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

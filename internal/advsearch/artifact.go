@@ -92,7 +92,7 @@ func Mint(dir, base string, port lbic.PortConfig, insts uint64, win Candidate, c
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = 0 // whole trace
-	res, err := lbic.SimulateTrace(context.Background(), rt, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.TraceSource(rt), cfg)
 	if err != nil {
 		return Meta{}, err
 	}

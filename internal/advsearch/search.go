@@ -141,7 +141,7 @@ func (opt *Options) fill() error {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = port
 			cfg.MaxInsts = insts
-			res, err := lbic.SimulateGenerator(ctx, p, cfg)
+			res, err := lbic.Simulate(ctx, lbic.GeneratorSource(p), cfg)
 			if err != nil {
 				return Score{}, err
 			}

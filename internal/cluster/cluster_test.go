@@ -49,7 +49,7 @@ func directReport(t *testing.T, bench, portName string, insts uint64) []byte {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = insts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

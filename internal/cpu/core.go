@@ -332,7 +332,7 @@ func (c *Core) Run() (Stats, error) {
 	return c.RunContext(context.Background())
 }
 
-// ctxCheckInterval is how often RunContext polls its context, in cycles: a
+// ctxCheckInterval is how often RunLanes polls its context, in cycles: a
 // per-cycle check would cost an interface call in the hottest loop, and a
 // few thousand cycles of cancellation latency is far below human-visible.
 const ctxCheckInterval = 4096
@@ -340,26 +340,11 @@ const ctxCheckInterval = 4096
 // RunContext steps the core until completion, cooperatively honoring ctx:
 // cancellation (or deadline expiry) aborts the run within ctxCheckInterval
 // cycles with the context's error. This is what makes per-cell deadlines in
-// sweep runners effective without killing the process.
+// sweep runners effective without killing the process. It is RunLanes of
+// this one core.
 func (c *Core) RunContext(ctx context.Context) (Stats, error) {
-	countdown := uint64(0)
-	for !c.Done() {
-		if countdown == 0 {
-			if err := ctx.Err(); err != nil {
-				return c.Stats(), fmt.Errorf("cpu: run canceled at cycle %d (committed %d of %d dispatched): %w",
-					c.now, c.stats.Committed, c.stats.Dispatched, err)
-			}
-			countdown = ctxCheckInterval
-		}
-		countdown--
-		if err := c.Step(); err != nil {
-			return c.Stats(), err
-		}
-		if n := c.idleCycles(); n > 0 {
-			c.skipIdle(n)
-		}
-	}
-	return c.Stats(), nil
+	err := RunLanes(ctx, []*Core{c})[0]
+	return c.Stats(), err
 }
 
 // Step advances the simulation by one cycle.

@@ -26,29 +26,33 @@ type LanePos interface {
 // every switch, while longer bursts only grow the shared ring.
 const LaneChunk = 16384
 
-// RunLanes steps K independent cores to completion in loose lockstep off
-// one shared stream cursor. Every core must have been constructed over a
-// stream implementing LanePos, with all such streams reading one
-// tracecache.SharedCursor; the scheduler advances the lane frontier one
-// LaneChunk at a time so the cursor decodes each dynamic instruction once
-// and every lane consumes it while it is still resident.
+// RunLanes steps K independent cores to completion: it is the simulator's
+// one stepping loop, and Core.RunContext is its K=1 case. With K >= 2 every
+// core must have been constructed over a stream implementing LanePos, with
+// all such streams reading one tracecache.SharedCursor; the scheduler
+// advances the lane frontier one LaneChunk at a time so the cursor decodes
+// each dynamic instruction once and every lane consumes it while it is still
+// resident. A single core may read any stream and runs without pausing.
 //
-// Each lane's simulation is exactly the scalar RunContext loop — same step,
-// idle-skip, watchdog, and cancellation behavior — so per-lane Stats are
-// bit-identical to a scalar run of the same configuration. Errors are
-// per-lane: errs[i] is nil when lane i completed, its failure otherwise.
-// Cancellation of ctx fails every unfinished lane with the scalar path's
-// cancellation error.
+// Each lane steps, idle-skips, trips its watchdog and honors cancellation
+// exactly as it would alone, so per-lane Stats are bit-identical to a run of
+// the same configuration at K=1. Errors are per-lane: errs[i] is nil when
+// lane i completed, its failure otherwise. Cancellation of ctx fails every
+// unfinished lane with the same cancellation error.
 func RunLanes(ctx context.Context, cores []*Core) []error {
 	errs := make([]error, len(cores))
 	streams := make([]LanePos, len(cores))
+	chunked := len(cores) > 1
 	for i, c := range cores {
 		s, ok := c.stream.(LanePos)
 		if !ok {
-			for j := range errs {
-				errs[j] = fmt.Errorf("cpu: lane %d stream %T does not implement LanePos", i, c.stream)
+			if chunked {
+				for j := range errs {
+					errs[j] = fmt.Errorf("cpu: lane %d stream %T does not implement LanePos", i, c.stream)
+				}
+				return errs
 			}
-			return errs
+			s = soloLane{}
 		}
 		streams[i] = s
 	}
@@ -66,7 +70,7 @@ func RunLanes(ctx context.Context, cores []*Core) []error {
 				// stream end) drains to completion now — it takes nothing
 				// more from the cursor, so there is no reason to keep its
 				// in-flight state live across further rounds.
-				if !c.fetchExhausted() && streams[i].Pos() >= target {
+				if chunked && !c.fetchExhausted() && streams[i].Pos() >= target {
 					break
 				}
 				if countdown == 0 {
@@ -95,8 +99,15 @@ func RunLanes(ctx context.Context, cores []*Core) []error {
 	return errs
 }
 
-// cancelLanes fails every still-running lane with the scalar path's
-// cancellation error, carrying that lane's own progress coordinates.
+// soloLane stands in for the LanePos of a single core reading a plain
+// stream: a lone lane never pauses, so its position is never consulted.
+type soloLane struct{}
+
+func (soloLane) Pos() uint64 { return 0 }
+func (soloLane) Close()      {}
+
+// cancelLanes fails every still-running lane with the cancellation error,
+// carrying that lane's own progress coordinates.
 func cancelLanes(cores []*Core, streams []LanePos, errs []error, cause error) {
 	for i, c := range cores {
 		if streams[i] == nil {

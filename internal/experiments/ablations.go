@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -39,7 +38,7 @@ func AblationBankSelection(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(kinds))
 	for i, k := range kinds {
 		kind := k.kind
-		cols[i] = column{header: k.header, cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: k.header, cell: func(b string) cell[float64] {
 			port := lbic.BankedPort(4)
 			port.Selector = kind
 			return sw.simBench(b, port)
@@ -58,7 +57,7 @@ func AblationCombiningPolicy(sw *Sweep) (*stats.Table, error) {
 	greedyPort := lbic.LBICPort(4, 2)
 	greedyPort.Greedy = true
 	names := lbic.BenchmarkNames()
-	var cells []runner.Cell[float64]
+	var cells []cell[float64]
 	lKeys := make(map[string]string, len(names))
 	gKeys := make(map[string]string, len(names))
 	for _, name := range names {
@@ -111,7 +110,7 @@ func AblationLSQDepth(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(depths))
 	for i, d := range depths {
 		d := d
-		cols[i] = column{header: fmt.Sprintf("LSQ %d", d), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("LSQ %d", d), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.LBICPort(4, 2), fmt.Sprintf("lsq%d", d), func(cfg *lbic.Config) {
 				cpu := defaultCPU()
 				cpu.LSQSize = d
@@ -130,7 +129,7 @@ func AblationStoreQueueDepth(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(depths))
 	for i, d := range depths {
 		d := d
-		cols[i] = column{header: fmt.Sprintf("SQ %d", d), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("SQ %d", d), cell: func(b string) cell[float64] {
 			port := lbic.LBICPort(4, 2)
 			port.StoreQueueDepth = d
 			return sw.simBench(b, port)
@@ -153,7 +152,7 @@ func AblationStoreQueueDecomposition(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(cfgs))
 	for i, c := range cfgs {
 		c := c
-		cols[i] = column{header: c.Name(), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: c.Name(), cell: func(b string) cell[float64] {
 			return sw.simBench(b, c)
 		}}
 	}
@@ -170,7 +169,7 @@ func AblationScanDepth(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(widths))
 	for i, w := range widths {
 		w := w
-		cols[i] = column{header: fmt.Sprintf("scan %d", w), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("scan %d", w), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.BankedPort(4), fmt.Sprintf("scan%d", w), func(cfg *lbic.Config) {
 				cpu := defaultCPU()
 				cpu.MemScanDepth = w
@@ -204,13 +203,13 @@ func AblationLineSize(sw *Sweep) (*stats.Table, error) {
 	var cols []column
 	for _, ls := range lineSizes {
 		ls := ls
-		cols = append(cols, column{header: fmt.Sprintf("bank %dB", ls), cell: func(b string) runner.Cell[float64] {
+		cols = append(cols, column{header: fmt.Sprintf("bank %dB", ls), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.BankedPort(4), fmt.Sprintf("ls%d", ls), lineSizeMut(ls))
 		}})
 	}
 	for _, ls := range lineSizes {
 		ls := ls
-		cols = append(cols, column{header: fmt.Sprintf("lbic %dB", ls), cell: func(b string) runner.Cell[float64] {
+		cols = append(cols, column{header: fmt.Sprintf("lbic %dB", ls), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.LBICPort(4, 2), fmt.Sprintf("ls%d", ls), lineSizeMut(ls))
 		}})
 	}
@@ -226,7 +225,7 @@ func AblationAssociativity(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(assocs))
 	for i, a := range assocs {
 		a := a
-		cols[i] = column{header: fmt.Sprintf("%d-way", a), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("%d-way", a), cell: func(b string) cell[float64] {
 			return sw.missRateCell(b, lbic.Geometry{Size: 32 << 10, LineSize: 32, Assoc: a})
 		}}
 	}
@@ -250,7 +249,7 @@ func AblationEqualPorts(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(cfgs))
 	for i, c := range cfgs {
 		c := c
-		cols[i] = column{header: c.Name(), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: c.Name(), cell: func(b string) cell[float64] {
 			return sw.simBench(b, c)
 		}}
 	}
@@ -274,13 +273,13 @@ func AblationMemoryLatency(sw *Sweep) (*stats.Table, error) {
 	var cols []column
 	for _, l := range lats {
 		l := l
-		cols = append(cols, column{header: fmt.Sprintf("true-4 @%d", l), cell: func(b string) runner.Cell[float64] {
+		cols = append(cols, column{header: fmt.Sprintf("true-4 @%d", l), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.IdealPort(4), fmt.Sprintf("mlat%d", l), memLatMut(l))
 		}})
 	}
 	for _, l := range lats {
 		l := l
-		cols = append(cols, column{header: fmt.Sprintf("lbic @%d", l), cell: func(b string) runner.Cell[float64] {
+		cols = append(cols, column{header: fmt.Sprintf("lbic @%d", l), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.LBICPort(4, 2), fmt.Sprintf("mlat%d", l), memLatMut(l))
 		}})
 	}
@@ -298,7 +297,7 @@ func AblationL2Bandwidth(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(widths))
 	for i, w := range widths {
 		w := w
-		cols[i] = column{header: fmt.Sprintf("%d/cycle", w), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("%d/cycle", w), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.IdealPort(16), fmt.Sprintf("l2bw%d", w), func(cfg *lbic.Config) {
 				mem := lbic.DefaultMemParams()
 				mem.L2PerCycle = w
@@ -319,7 +318,7 @@ func AblationAGUs(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(counts))
 	for i, n := range counts {
 		n := n
-		cols[i] = column{header: fmt.Sprintf("%d L/S", n), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("%d L/S", n), cell: func(b string) cell[float64] {
 			return sw.simBenchMut(b, lbic.IdealPort(4), fmt.Sprintf("agu%d", n), func(cfg *lbic.Config) {
 				cpu := defaultCPU()
 				cpu.FUCount[lbic.ClassLoad] = n
@@ -340,7 +339,7 @@ func AblationCacheSize(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(sizes))
 	for i, size := range sizes {
 		size := size
-		cols[i] = column{header: fmt.Sprintf("%dKB", size>>10), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: fmt.Sprintf("%dKB", size>>10), cell: func(b string) cell[float64] {
 			return sw.missRateCell(b, lbic.Geometry{Size: size, LineSize: 32, Assoc: 1})
 		}}
 	}

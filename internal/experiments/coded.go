@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -36,7 +35,7 @@ func CodedTable(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(axis))
 	for i, port := range axis {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(b string) cell[float64] {
 			return sw.simBench(b, port)
 		}}
 	}
@@ -55,7 +54,7 @@ func AblationCodedConflicts(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(axis))
 	for i, port := range axis {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(b string) runner.Cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(b string) cell[float64] {
 			return sw.simBenchConflict(b, port)
 		}}
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -81,7 +80,7 @@ func table2Geom() lbic.Geometry { return lbic.Geometry{Size: 32 << 10, LineSize:
 // Table2 measures every kernel's Table 2 characteristics.
 func Table2(sw *Sweep) ([]Table2Row, error) {
 	infos := lbic.Benchmarks()
-	cells := make([]runner.Cell[lbic.BenchmarkStats], len(infos))
+	cells := make([]cell[lbic.BenchmarkStats], len(infos))
 	for i, in := range infos {
 		cells[i] = sw.charCell(in.Name, table2Geom())
 	}
@@ -182,14 +181,14 @@ func Table3(sw *Sweep) (*Table3Data, error) {
 			d.IPC[kind][p] = map[string]float64{}
 		}
 	}
-	var cells []runner.Cell[float64]
+	var cells []cell[float64]
 	type slot struct {
 		kind  string
 		ports int
 		name  string
 	}
 	slots := map[string]slot{}
-	add := func(s slot, c runner.Cell[float64]) {
+	add := func(s slot, c cell[float64]) {
 		slots[c.Key] = s
 		cells = append(cells, c)
 	}
@@ -309,7 +308,7 @@ type Figure3Row struct {
 // lines) for every benchmark.
 func Figure3(sw *Sweep) ([]Figure3Row, error) {
 	names := lbic.BenchmarkNames()
-	cells := make([]runner.Cell[lbic.Distribution], len(names))
+	cells := make([]cell[lbic.Distribution], len(names))
 	for i, name := range names {
 		cells[i] = sw.refCell(name, 4, 32)
 	}
@@ -409,7 +408,7 @@ func contains(ss []string, s string) bool {
 func Figure3Banks(sw *Sweep) (*stats.Table, error) {
 	bankCounts := []int{2, 4, 16, 64}
 	names := lbic.BenchmarkNames()
-	var cells []runner.Cell[lbic.Distribution]
+	var cells []cell[lbic.Distribution]
 	keys := make(map[string]map[int]string, len(names)) // bench -> banks -> key
 	for _, name := range names {
 		keys[name] = map[int]string{}
@@ -477,7 +476,7 @@ func Table4(sw *Sweep) (*Table4Data, error) {
 	for _, c := range LBICConfigs {
 		d.IPC[ConfigKey(c[0], c[1])] = map[string]float64{}
 	}
-	var cells []runner.Cell[float64]
+	var cells []cell[float64]
 	type slot struct{ cfg, name string }
 	slots := map[string]slot{}
 	for _, name := range lbic.BenchmarkNames() {

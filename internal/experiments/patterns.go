@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -28,7 +27,7 @@ func PatternMatrix(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(ports))
 	for i, port := range ports {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(pat string) runner.Cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(pat string) cell[float64] {
 			return sw.simPattern(pat, port)
 		}}
 	}

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -54,25 +57,13 @@ type Sweep struct {
 	OnCell func(key string, err error)
 	// InjectPanic and InjectHang are key substrings marking cells to
 	// sabotage — a panic or a never-returning hang — for exercising the
-	// fault-isolation machinery end to end.
+	// fault-isolation machinery end to end. A sabotaged simulation cell
+	// leaves its stream group's batch; the rest of the group still batches.
 	InjectPanic []string
 	InjectHang  []string
-	// Lanes controls vectorized multi-config stepping: simulation cells that
-	// share one (program, budget) instruction stream are grouped into lane
-	// batches stepping off a shared decode cursor (see lbic.SimulateBatch),
-	// so each dynamic instruction is decoded once per batch instead of once
-	// per cell. 0 or 1 runs every cell on the scalar path (the zero-value
-	// default); < 0 batches a whole shared-stream group (the full port
-	// axis); >= 2 caps the batch width. Results are byte-identical at any
-	// width, and cell keys — the journal identity — do not change, so
-	// journals resume across widths in both directions. Fault injection
-	// disables batching: injected faults must land on exactly the named
-	// cell, not a whole batch.
-	Lanes int
 
 	log   *failureLog
 	progs *progCache
-	specs *specRegistry
 	memo  *resultMemo
 	// local is the sweep-private trace cache serving cells when Trace is
 	// nil: without it, every cell of the same benchmark re-ran the emulator
@@ -90,7 +81,6 @@ func NewSweep(insts uint64) *Sweep {
 		Insts: insts,
 		log:   &failureLog{},
 		progs: &progCache{m: map[string]*lbic.Program{}},
-		specs: &specRegistry{m: map[string]simSpec{}},
 		memo:  &resultMemo{m: map[string]*lbic.Result{}},
 		local: lbic.NewTraceCache(localTraceBudget),
 	}
@@ -184,61 +174,245 @@ func (sw *Sweep) context() context.Context {
 	return ctx
 }
 
-func (sw *Sweep) options() runner.Options {
-	return runner.Options{
-		Jobs:      sw.Jobs,
-		Timeout:   sw.Timeout,
-		Retries:   sw.Retries,
-		KeepGoing: sw.KeepGoing,
-		Journal:   sw.Journal,
-		Stop:      sw.Stop,
-		OnCell:    sw.OnCell,
+// cell is one table cell, keyed for the journal. A simulation cell carries
+// its spec and runs as a lane of its stream group's batch; any other cell
+// (characterization, reference-stream analysis) runs its own function.
+type cell[T any] struct {
+	Key string
+	run func(ctx context.Context) (T, error)
+	sim *simSpec[T]
+}
+
+// simSpec is one simulation: a configuration of one stream, reduced to the
+// cell's value by pick. Cells whose specs share a group consume
+// byte-identical dynamic streams and run as the lanes of one batch; memoKey
+// names the simulated point across key namespaces, so two views of one
+// simulation (its IPC and its conflict rate) share a single Result.
+type simSpec[T any] struct {
+	group  string
+	source func() (lbic.Source, error)
+	port   lbic.PortConfig
+	insts  uint64
+	mut    func(*lbic.Config)
+	// replay streams a program through the sweep's trace cache.
+	replay  bool
+	pick    func(*lbic.Result) T
+	memoKey string
+}
+
+// config is the spec's simulation configuration.
+func (s *simSpec[T]) config(tc *lbic.TraceCache) lbic.Config {
+	cfg := lbic.DefaultConfig()
+	cfg.Port = s.port
+	cfg.MaxInsts = s.insts
+	if s.replay {
+		cfg.Trace = tc
 	}
+	if s.mut != nil {
+		s.mut(&cfg)
+	}
+	return cfg
+}
+
+// resultMemo caches completed simulation Results by memoKey for the lifetime
+// of one sweep, so the same simulated point feeding two tables (e.g. the IPC
+// and conflict-rate views of one generator run) is executed once. Replay
+// determinism makes the second Result identical, so reuse cannot change any
+// output.
+type resultMemo struct {
+	mu sync.Mutex
+	m  map[string]*lbic.Result
+}
+
+func (m *resultMemo) get(key string) (*lbic.Result, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.m[key]
+	return r, ok
+}
+
+func (m *resultMemo) put(key string, r *lbic.Result) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.m[key] = r
+}
+
+// outcome is one member cell's result inside a runner cell's value.
+type outcome[T any] struct {
+	v T
+	// res is the simulation behind v; nil for other cells.
+	res *lbic.Result
+	err error
 }
 
 // sweepRun executes cells under the sweep's policy and returns the
 // successful values keyed by cell key; failed and skipped cells are recorded
 // in the failure log and simply absent from the map. The error is nil unless
 // the context was canceled or (without KeepGoing) a cell failed.
-func sweepRun[T any](sw *Sweep, cells []runner.Cell[T]) (map[string]T, error) {
-	// Simulation sweeps (float64 grids) route through the laned runner when
-	// batching is enabled: cells sharing a stream step in lockstep off one
-	// cursor. Fault injection forces the scalar path — see Sweep.Lanes.
-	if fc, ok := any(cells).([]runner.Cell[float64]); ok && sw.laned() {
-		m, err := sw.runLaned(fc)
-		return any(m).(map[string]T), err
-	}
-	injectFaults(sw, cells)
-	out, err := runner.Run(sw.context(), cells, sw.options())
-	m := make(map[string]T, len(out.Results))
-	for _, r := range out.Results {
-		if r.Err == nil {
-			m[r.Key] = r.Value
+//
+// Cells already in the journal, or whose simulation an earlier table of this
+// sweep ran, settle up front. Every other simulation cell joins its stream
+// group, and each group runs as one lane batch of its full width, a batch of
+// one included (lbic.SimulateBatch). A cell marked for fault injection
+// leaves its group and runs alone, so only it fails. Each batch is one
+// runner cell; its per-attempt timeout is the cell timeout times its width,
+// since it does that many lanes of work, and its members settle — journal,
+// memo, OnCell — once, from the attempt that stood.
+func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
+	out := make(map[string]T, len(cells))
+	failed := map[string]error{}
+	settle := func(c cell[T], o outcome[T], record bool) {
+		if o.err == nil {
+			out[c.Key] = o.v
+			if o.res != nil {
+				sw.memo.put(c.sim.memoKey, o.res)
+			}
+			if record && sw.Journal != nil {
+				sw.Journal.Record(c.Key, o.v)
+			}
 		} else {
-			sw.log.add(CellError{Key: r.Key, Err: r.Err})
+			sw.log.add(CellError{Key: c.Key, Err: o.err})
+			if !errors.Is(o.err, runner.ErrSkipped) {
+				failed[c.Key] = o.err
+			}
+		}
+		if sw.OnCell != nil {
+			sw.OnCell(c.Key, o.err)
 		}
 	}
-	return m, err
+
+	// plan lists each runner cell's members in launch order: a stream
+	// group's batch sits where its first member appeared.
+	var plan [][]cell[T]
+	groups := map[string]int{}
+	for _, c := range cells {
+		if v, ok := journaled[T](sw.Journal, c.Key); ok {
+			settle(c, outcome[T]{v: v}, false)
+			continue
+		}
+		if c.sim != nil && !sw.injected(c.Key) {
+			if res, ok := sw.memo.get(c.sim.memoKey); ok {
+				settle(c, outcome[T]{v: c.sim.pick(res)}, true)
+				continue
+			}
+			if i, ok := groups[c.sim.group]; ok {
+				plan[i] = append(plan[i], c)
+				continue
+			}
+			groups[c.sim.group] = len(plan)
+		}
+		plan = append(plan, []cell[T]{c})
+	}
+
+	units := make([]runner.Cell[[]outcome[T]], len(plan))
+	for i, ms := range plan {
+		units[i] = newUnit(sw, ms, func(r runner.Result[[]outcome[T]]) {
+			for j, c := range ms {
+				o := outcome[T]{err: r.Err}
+				if r.Value != nil {
+					o = r.Value[j]
+				}
+				settle(c, o, true)
+			}
+		})
+	}
+	opts := runner.Options{Jobs: sw.Jobs, Retries: sw.Retries, KeepGoing: sw.KeepGoing, Stop: sw.Stop}
+	ctx := sw.context()
+	if _, err := runner.Run(ctx, units, opts); err != nil {
+		if ctx.Err() == nil {
+			// Name the first failed table cell, not the batch it rode in.
+			for _, c := range cells {
+				if ferr, ok := failed[c.Key]; ok {
+					return out, fmt.Errorf("runner: cell %q: %w", c.Key, ferr)
+				}
+			}
+		}
+		return out, err
+	}
+	return out, nil
 }
 
-// injectFaults sabotages cells whose key matches an injection substring.
-func injectFaults[T any](sw *Sweep, cells []runner.Cell[T]) {
-	if len(sw.InjectPanic) == 0 && len(sw.InjectHang) == 0 {
-		return
+// journaled returns the value the journal checkpointed for key. An entry
+// that no longer unmarshals (the value type changed between versions) is
+// treated as absent.
+func journaled[T any](j *runner.Journal, key string) (T, bool) {
+	var v T
+	if j == nil {
+		return v, false
 	}
-	for i := range cells {
-		key := cells[i].Key
-		switch {
-		case matchAny(key, sw.InjectPanic):
-			cells[i].Run = func(context.Context) (T, error) {
-				panic(fmt.Sprintf("injected panic in cell %s", key))
-			}
-		case matchAny(key, sw.InjectHang):
-			cells[i].Run = func(context.Context) (T, error) {
-				select {} // deliberately ignores ctx: models a wedged cell
-			}
+	raw, ok := j.Lookup(key)
+	if !ok || json.Unmarshal(raw, &v) != nil {
+		return v, false
+	}
+	return v, true
+}
+
+// injected reports whether a cell is marked for fault injection.
+func (sw *Sweep) injected(key string) bool {
+	return matchAny(key, sw.InjectPanic) || matchAny(key, sw.InjectHang)
+}
+
+// newUnit wraps members as one runner cell: a stream group's simulation cells
+// as one lane batch (keyed by the member's own key when it runs alone), or
+// a single other cell. Cells marked for fault injection — always alone —
+// are sabotaged with a panic or a never-returning hang.
+func newUnit[T any](sw *Sweep, ms []cell[T], settled func(runner.Result[[]outcome[T]])) runner.Cell[[]outcome[T]] {
+	c := runner.Cell[[]outcome[T]]{Key: ms[0].Key, Timeout: sw.Timeout * time.Duration(len(ms)), Settled: settled}
+	if len(ms) > 1 {
+		c.Key = fmt.Sprintf("lane/%s/k%d", ms[0].sim.group, len(ms))
+	}
+	key := ms[0].Key
+	switch {
+	case matchAny(key, sw.InjectPanic):
+		c.Run = func(context.Context) ([]outcome[T], error) {
+			panic(fmt.Sprintf("injected panic in cell %s", key))
+		}
+	case matchAny(key, sw.InjectHang):
+		c.Run = func(context.Context) ([]outcome[T], error) {
+			select {} // deliberately ignores ctx: models a wedged cell
+		}
+	case ms[0].sim != nil:
+		c.Labels = []string{"lanes", strconv.Itoa(len(ms))}
+		c.Run = func(ctx context.Context) ([]outcome[T], error) { return runBatch(ctx, sw, ms) }
+	default:
+		run := ms[0].run
+		c.Run = func(ctx context.Context) ([]outcome[T], error) {
+			v, err := run(ctx)
+			return []outcome[T]{{v: v, err: err}}, err
 		}
 	}
+	return c
+}
+
+// runBatch runs one stream group's cells as the lanes of one batch. A lane's
+// failure is returned as the batch's error too, so the runner retries the
+// batch exactly as it would retry that cell alone.
+func runBatch[T any](ctx context.Context, sw *Sweep, ms []cell[T]) ([]outcome[T], error) {
+	src, err := ms[0].sim.source()
+	if err != nil {
+		return nil, err
+	}
+	cfgs := make([]lbic.Config, len(ms))
+	for i, c := range ms {
+		cfgs[i] = c.sim.config(sw.traceCache())
+	}
+	results, errs, err := lbic.SimulateBatch(ctx, src, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]outcome[T], len(ms))
+	var first error
+	for i, c := range ms {
+		if errs[i] != nil {
+			outs[i].err = errs[i]
+			if first == nil {
+				first = errs[i]
+			}
+			continue
+		}
+		outs[i] = outcome[T]{v: c.sim.pick(&results[i]), res: &results[i]}
+	}
+	return outs, first
 }
 
 func matchAny(key string, subs []string) bool {
@@ -256,63 +430,28 @@ func matchAny(key string, subs []string) bool {
 // simulated configuration must appear in the key.
 
 // simBench is one benchmark under one port organization at the sweep budget.
-func (sw *Sweep) simBench(name string, port lbic.PortConfig) runner.Cell[float64] {
+func (sw *Sweep) simBench(name string, port lbic.PortConfig) cell[float64] {
 	return sw.simBenchMut(name, port, "", nil)
 }
 
 // simBenchMut is simBench with a Config mutation; suffix must uniquely
 // encode the mutation (e.g. "lsq32") since PortConfig.Name does not see it.
-func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, mut func(*lbic.Config)) runner.Cell[float64] {
+func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, mut func(*lbic.Config)) cell[float64] {
 	key := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), sw.Insts)
 	if suffix != "" {
 		key += "/" + suffix
 	}
-	group := fmt.Sprintf("bench/%s/i%d", name, sw.Insts)
-	build := func() (*lbic.Program, error) { return sw.benchProg(name) }
-	return sw.simCell(key, group, build, port, mut)
+	// The full cell key doubles as the duplicate-sim memo identity: the
+	// same (program, port, budget, mutation) point appearing in two tables
+	// of one invocation is simulated once.
+	return sw.progCell(key, key, "bench/"+name, sw.benchProg, name, port, mut, pickIPC)
 }
 
 // simPattern is one access-pattern microbenchmark under one port
 // organization.
-func (sw *Sweep) simPattern(name string, port lbic.PortConfig) runner.Cell[float64] {
+func (sw *Sweep) simPattern(name string, port lbic.PortConfig) cell[float64] {
 	key := fmt.Sprintf("sim/pat:%s/%s/i%d", name, port.Key(), sw.Insts)
-	group := fmt.Sprintf("pat/%s/i%d", name, sw.Insts)
-	build := func() (*lbic.Program, error) { return sw.patternProg(name) }
-	return sw.simCell(key, group, build, port, nil)
-}
-
-func (sw *Sweep) simCell(key, group string, build func() (*lbic.Program, error), port lbic.PortConfig, mut func(*lbic.Config)) runner.Cell[float64] {
-	insts := sw.Insts
-	// The full cell key doubles as the duplicate-sim memo identity: the
-	// same (program, port, budget, mutation) point appearing in two tables
-	// of one invocation is simulated once (replay determinism makes the
-	// second Result identical, so reusing it cannot change any output).
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, mut: mut, build: build,
-		pick: pickIPC, memoKey: key,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(key); ok {
-			return pickIPC(res), nil
-		}
-		prog, err := build()
-		if err != nil {
-			return 0, err
-		}
-		cfg := lbic.DefaultConfig()
-		cfg.Port = port
-		cfg.MaxInsts = insts
-		cfg.Trace = sw.traceCache()
-		if mut != nil {
-			mut(&cfg)
-		}
-		res, err := lbic.SimulateContext(ctx, prog, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(key, &res)
-		return res.IPC, nil
-	}}
+	return sw.progCell(key, key, "pat/"+name, sw.patternProg, name, port, nil, pickIPC)
 }
 
 // simBenchConflict is simBench reduced to the port conflict rate (stalled
@@ -320,42 +459,29 @@ func (sw *Sweep) simCell(key, group string, build func() (*lbic.Program, error),
 // differs — but the memo key matches the IPC cell's, so the same
 // (benchmark, port, budget) point appearing in an IPC table and a conflict
 // table is simulated once.
-func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) runner.Cell[float64] {
-	insts := sw.Insts
-	key := fmt.Sprintf("sim/conf/%s/%s/i%d", name, port.Key(), insts)
-	memoKey := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), insts)
-	group := fmt.Sprintf("bench/%s/i%d", name, insts)
-	build := func() (*lbic.Program, error) { return sw.benchProg(name) }
-	pick := func(r *lbic.Result) float64 { return r.PortConflictRate() }
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, build: build,
-		pick: pick, memoKey: memoKey,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(memoKey); ok {
-			return pick(res), nil
-		}
-		prog, err := build()
-		if err != nil {
-			return 0, err
-		}
-		cfg := lbic.DefaultConfig()
-		cfg.Port = port
-		cfg.MaxInsts = insts
-		cfg.Trace = sw.traceCache()
-		res, err := lbic.SimulateContext(ctx, prog, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(memoKey, &res)
-		return pick(&res), nil
+func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) cell[float64] {
+	key := fmt.Sprintf("sim/conf/%s/%s/i%d", name, port.Key(), sw.Insts)
+	memoKey := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), sw.Insts)
+	return sw.progCell(key, memoKey, "bench/"+name, sw.benchProg, name, port, nil,
+		func(r *lbic.Result) float64 { return r.PortConflictRate() })
+}
+
+// progCell is a simulation cell over the sweep's shared instance of a
+// program, replayed through the sweep's trace cache; stream names the
+// program for grouping.
+func (sw *Sweep) progCell(key, memoKey, stream string, prog func(string) (*lbic.Program, error), name string,
+	port lbic.PortConfig, mut func(*lbic.Config), pick func(*lbic.Result) float64) cell[float64] {
+	return cell[float64]{Key: key, sim: &simSpec[float64]{
+		group: fmt.Sprintf("%s/i%d", stream, sw.Insts),
+		source: func() (lbic.Source, error) {
+			p, err := prog(name)
+			return lbic.ProgramSource(p), err
+		},
+		port: port, insts: sw.Insts, mut: mut, replay: true, pick: pick, memoKey: memoKey,
 	}}
 }
 
 func pickIPC(r *lbic.Result) float64 { return r.IPC }
-
-// scalarLaneLabels tag an unbatched simulation cell's profile samples.
-var scalarLaneLabels = []string{"lanes", "1"}
 
 // charCell measures a benchmark's Table 2 characteristics against a given
 // L1 geometry.
@@ -363,11 +489,11 @@ var scalarLaneLabels = []string{"lanes", "1"}
 // trace cache only: a characterization pass is a single sequential read, so
 // replaying costs the same as re-emulating and a sweep-private recording
 // would never be repaid within the cell's own table.
-func (sw *Sweep) charCell(name string, geom lbic.Geometry) runner.Cell[lbic.BenchmarkStats] {
+func (sw *Sweep) charCell(name string, geom lbic.Geometry) cell[lbic.BenchmarkStats] {
 	insts := sw.Insts
 	tc := sw.Trace
 	key := fmt.Sprintf("char/%s/%s/i%d", name, geomKey(geom), insts)
-	return runner.Cell[lbic.BenchmarkStats]{Key: key, Run: func(ctx context.Context) (lbic.BenchmarkStats, error) {
+	return cell[lbic.BenchmarkStats]{Key: key, run: func(ctx context.Context) (lbic.BenchmarkStats, error) {
 		prog, err := sw.benchProg(name)
 		if err != nil {
 			return lbic.BenchmarkStats{}, err
@@ -378,11 +504,11 @@ func (sw *Sweep) charCell(name string, geom lbic.Geometry) runner.Cell[lbic.Benc
 
 // missRateCell is charCell reduced to the miss rate, for the capacity and
 // associativity grids. Distinct key namespace: the journaled value differs.
-func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) runner.Cell[float64] {
+func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) cell[float64] {
 	insts := sw.Insts
 	tc := sw.Trace
 	key := fmt.Sprintf("miss/%s/%s/i%d", name, geomKey(geom), insts)
-	return runner.Cell[float64]{Key: key, Run: func(ctx context.Context) (float64, error) {
+	return cell[float64]{Key: key, run: func(ctx context.Context) (float64, error) {
 		prog, err := sw.benchProg(name)
 		if err != nil {
 			return 0, err
@@ -401,11 +527,11 @@ func geomKey(g lbic.Geometry) string {
 
 // refCell computes a benchmark's consecutive-reference distribution over an
 // infinite banks-way line-interleaved cache.
-func (sw *Sweep) refCell(name string, banks, lineSize int) runner.Cell[lbic.Distribution] {
+func (sw *Sweep) refCell(name string, banks, lineSize int) cell[lbic.Distribution] {
 	insts := sw.Insts
 	tc := sw.Trace
 	key := fmt.Sprintf("refs/%s/b%d-l%d/i%d", name, banks, lineSize, insts)
-	return runner.Cell[lbic.Distribution]{Key: key, Run: func(ctx context.Context) (lbic.Distribution, error) {
+	return cell[lbic.Distribution]{Key: key, run: func(ctx context.Context) (lbic.Distribution, error) {
 		prog, err := sw.benchProg(name)
 		if err != nil {
 			return lbic.Distribution{}, err
@@ -432,7 +558,7 @@ func fmtCell(v float64, ok bool, format func(float64) string) string {
 // constructor per benchmark.
 type column struct {
 	header string
-	cell   func(bench string) runner.Cell[float64]
+	cell   func(bench string) cell[float64]
 }
 
 // grid runs a benches x columns sweep and renders it with a per-column
@@ -444,7 +570,7 @@ func grid(sw *Sweep, tableTitle string, benches []string, cols []column, format 
 		format = stats.FormatIPC
 	}
 	keys := make([][]string, len(benches))
-	var cells []runner.Cell[float64]
+	var cells []cell[float64]
 	for bi, b := range benches {
 		keys[bi] = make([]string, len(cols))
 		for ci, c := range cols {

@@ -19,7 +19,7 @@ func testGrid(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(ports))
 	for i, port := range ports {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(pat string) runner.Cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(pat string) cell[float64] {
 			return sw.simPattern(pat, port)
 		}}
 	}
@@ -160,8 +160,8 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// A sweep with Spans set must record every cell and its simulate child as a
-// validated span tree, including on faulted cells.
+// A sweep with Spans set must record every runner cell and its simulate
+// children as a validated span tree, including on faulted cells.
 func TestSweepSpansRecorded(t *testing.T) {
 	sw := NewSweep(5_000)
 	sw.Jobs = 2
@@ -177,12 +177,14 @@ func TestSweepSpansRecorded(t *testing.T) {
 	if _, err := lbic.ValidateTraceTree(spans, false); err != nil {
 		t.Fatalf("span tree invalid: %v", err)
 	}
-	var cells, sims int
+	var cells, batches, sims int
 	for _, sp := range spans {
 		if sp.Open {
 			t.Errorf("span %q left open after the sweep", sp.Name)
 		}
 		switch {
+		case strings.HasPrefix(sp.Name, "simulate batch "):
+			batches++
 		case strings.HasPrefix(sp.Name, "cell "):
 			cells++
 			if strings.Contains(sp.Name, "pat:unit-stride/true-1") && sp.Attrs["error"] == nil {
@@ -195,9 +197,11 @@ func TestSweepSpansRecorded(t *testing.T) {
 			}
 		}
 	}
-	// Four cells in the grid; the panicking cell (with one retry) never
-	// reaches SimulateContext, so it contributes no simulate span.
-	if cells != 4 || sims != 3 {
-		t.Errorf("spans = %d cells, %d sims; want 4 and 3", cells, sims)
+	// The grid's four cells run as three runner cells: the injected cell
+	// alone, unit-stride/bank-4 as a batch of one, and the random row as one
+	// batch of two. The panicking cell never reaches Simulate, so it
+	// contributes no simulate span.
+	if cells != 3 || batches != 1 || sims != 3 {
+		t.Errorf("spans = %d cells, %d batches, %d sims; want 3, 1 and 3", cells, batches, sims)
 	}
 }

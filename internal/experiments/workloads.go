@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -19,48 +18,35 @@ func workloadPorts() []lbic.PortConfig { return lbic.PortAxis() }
 // under one port organization at the sweep budget. The cell key embeds the
 // fully resolved parameter key, so any change to a generator's defaults
 // invalidates journaled cells instead of silently reusing them.
-func (sw *Sweep) simGen(kind string, port lbic.PortConfig) runner.Cell[float64] {
+func (sw *Sweep) simGen(kind string, port lbic.PortConfig) cell[float64] {
 	return sw.genCell(kind, port, "", func(r *lbic.Result) float64 { return r.IPC })
 }
 
 // simGenConflict is simGen reduced to the same-bank conflict rate. Distinct
 // key namespace: the journaled value differs.
-func (sw *Sweep) simGenConflict(kind string, port lbic.PortConfig) runner.Cell[float64] {
+func (sw *Sweep) simGenConflict(kind string, port lbic.PortConfig) cell[float64] {
 	return sw.genCell(kind, port, "conf/", func(r *lbic.Result) float64 { return r.PortConflictRate() })
 }
 
-func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func(*lbic.Result) float64) runner.Cell[float64] {
+func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func(*lbic.Result) float64) cell[float64] {
 	insts := sw.Insts
 	params := lbic.GenParams{Kind: kind}
 	rp, err := params.Resolve()
 	if err != nil {
 		key := fmt.Sprintf("sim/%sgen:%s/%s/i%d", ns, kind, port.Key(), insts)
-		return runner.Cell[float64]{Key: key, Run: func(context.Context) (float64, error) { return 0, err }}
+		return cell[float64]{Key: key, run: func(context.Context) (float64, error) { return 0, err }}
 	}
-	key := fmt.Sprintf("sim/%s%s/%s/i%d", ns, rp.Key(), port.Key(), insts)
 	// The memo key strips the namespace: the IPC and conflict-rate views of
 	// one (generator, port, budget) point are the same simulation, so the
 	// second table reuses the first's Result instead of re-synthesizing the
 	// stream.
-	memoKey := fmt.Sprintf("sim/%s/%s/i%d", rp.Key(), port.Key(), insts)
-	group := fmt.Sprintf("gen/%s/i%d", rp.Key(), insts)
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, gen: &params,
-		pick: pick, memoKey: memoKey,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(memoKey); ok {
-			return pick(res), nil
-		}
-		cfg := lbic.DefaultConfig()
-		cfg.Port = port
-		cfg.MaxInsts = insts
-		res, err := lbic.SimulateGenerator(ctx, params, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(memoKey, &res)
-		return pick(&res), nil
+	return cell[float64]{Key: fmt.Sprintf("sim/%s%s/%s/i%d", ns, rp.Key(), port.Key(), insts), sim: &simSpec[float64]{
+		group:   fmt.Sprintf("gen/%s/i%d", rp.Key(), insts),
+		source:  func() (lbic.Source, error) { return lbic.GeneratorSource(params), nil },
+		port:    port,
+		insts:   insts,
+		pick:    pick,
+		memoKey: fmt.Sprintf("sim/%s/%s/i%d", rp.Key(), port.Key(), insts),
 	}}
 }
 
@@ -84,14 +70,14 @@ func WorkloadConflicts(sw *Sweep) (*stats.Table, error) {
 		(*Sweep).simGenConflict, formatRate)
 }
 
-func workloadGrid(sw *Sweep, tableTitle string, cell func(*Sweep, string, lbic.PortConfig) runner.Cell[float64], format func(float64) string) (*stats.Table, error) {
+func workloadGrid(sw *Sweep, tableTitle string, gen func(*Sweep, string, lbic.PortConfig) cell[float64], format func(float64) string) (*stats.Table, error) {
 	ports := workloadPorts()
 	names := lbic.GeneratorKinds()
 	cols := make([]column, len(ports))
 	for i, port := range ports {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(kind string) runner.Cell[float64] {
-			return cell(sw, kind, port)
+		cols[i] = column{header: port.Name(), cell: func(kind string) cell[float64] {
+			return gen(sw, kind, port)
 		}}
 	}
 	return grid(sw, tableTitle, names, cols, format, false)

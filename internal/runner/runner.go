@@ -32,10 +32,20 @@ type Cell[T any] struct {
 	// the grace window after its deadline expires.
 	Run func(ctx context.Context) (T, error)
 	// Labels are extra pprof label key/value pairs attached to the cell's
-	// execution, alongside the always-present "cell" key. A batched sweep
-	// sets ("lanes", K) here so a CPU profile attributes scalar vs laned
-	// stepping per cell.
+	// execution, alongside the always-present "cell" key. A sweep sets
+	// ("lanes", K) here so a CPU profile attributes stepping to batch width.
 	Labels []string
+	// Timeout, when positive, bounds each attempt of this cell in place of
+	// Options.Timeout: a cell standing for K results (a lane batch) does K
+	// results' work.
+	Timeout time.Duration
+	// Settled, when non-nil, receives the cell's final Result exactly once:
+	// after its last attempt, or when it is served from the journal or
+	// skipped. Calls are serialized with every other cell's settlement and
+	// precede Options.OnCell. A cell standing for several results (a lane
+	// batch) settles its members here, so a retried cell settles each of
+	// them once, from the attempt that stood.
+	Settled func(Result[T])
 }
 
 // Result is the outcome of one cell.
@@ -157,6 +167,9 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 		mu.Lock()
 		defer mu.Unlock()
 		out.Results[i] = r
+		if cells[i].Settled != nil {
+			cells[i].Settled(r)
+		}
 		switch {
 		case r.Err == nil:
 			out.Done++
@@ -264,7 +277,11 @@ func runCell[T any](ctx context.Context, c Cell[T], opts Options) Result[T] {
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
-		v, err := runOnce(ctx, c, opts.Timeout)
+		timeout := opts.Timeout
+		if c.Timeout > 0 {
+			timeout = c.Timeout
+		}
+		v, err := runOnce(ctx, c, timeout)
 		res.Value, res.Err = v, err
 		if err == nil || attempt > opts.Retries || !retriable(err) {
 			break
@@ -326,7 +343,7 @@ func runOnce[T any](ctx context.Context, c Cell[T], timeout time.Duration) (T, e
 		// The pprof labels make per-cell cost visible in CPU profiles:
 		// every sample inside the attempt carries the cell key plus any
 		// caller labels (e.g. lane count), so `go tool pprof -tagfocus`
-		// separates one cell — or scalar vs laned stepping — from a sweep.
+		// separates one cell — or one batch width — from a sweep.
 		labels := make([]string, 0, 2+len(c.Labels))
 		labels = append(labels, "cell", c.Key)
 		labels = append(labels, c.Labels...)

@@ -145,6 +145,67 @@ func TestRetryOnTransientFailure(t *testing.T) {
 	}
 }
 
+// TestSettledOncePerCell: Settled sees each cell's final Result exactly
+// once — after the last retry, from the journal, or as skipped — before
+// OnCell.
+func TestSettledOncePerCell(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.Record("cached", 7)
+	var order []string
+	settled := func(r Result[int]) { order = append(order, fmt.Sprintf("settled %s %d %v", r.Key, r.Value, r.Err)) }
+	tries := 0
+	cells := []Cell[int]{
+		{Key: "cached", Settled: settled, Run: func(context.Context) (int, error) { return 0, errors.New("ran") }},
+		{Key: "flaky", Settled: settled, Run: func(context.Context) (int, error) {
+			if tries++; tries == 1 {
+				return 1, errors.New("transient")
+			}
+			return 42, nil
+		}},
+		{Key: "bad", Settled: settled, Run: func(context.Context) (int, error) { return 3, errors.New("broken") }},
+		{Key: "late", Settled: settled, Run: func(context.Context) (int, error) { return 4, nil }},
+	}
+	Run(context.Background(), cells, Options{Retries: 1, Backoff: Backoff{Base: -1}, Journal: j,
+		OnCell: func(key string, err error) { order = append(order, "oncell "+key) }})
+	want := []string{
+		"settled cached 7 <nil>", "oncell cached",
+		"settled flaky 42 <nil>", "oncell flaky",
+		"settled bad 3 broken", "oncell bad",
+		"settled late 0 runner: cell skipped", "oncell late",
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("settlement order:\n got %q\nwant %q", order, want)
+	}
+}
+
+// TestCellTimeoutOverridesOptions: a cell's own Timeout bounds its attempts
+// in place of Options.Timeout; other cells keep the sweep-wide one.
+func TestCellTimeoutOverridesOptions(t *testing.T) {
+	wait := func(ctx context.Context) (int, error) {
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-time.After(200 * time.Millisecond):
+			return 1, nil
+		}
+	}
+	cells := []Cell[int]{
+		{Key: "short", Timeout: 10 * time.Millisecond, Run: wait},
+		{Key: "long", Run: wait},
+		{Key: "longer", Timeout: time.Hour, Run: wait},
+	}
+	out, _ := Run(context.Background(), cells, Options{Timeout: 20 * time.Millisecond, KeepGoing: true, Jobs: 3})
+	for i, wantOK := range []bool{false, false, true} {
+		if r := out.Results[i]; (r.Err == nil) != wantOK {
+			t.Errorf("%s: err = %v, want success %v", r.Key, r.Err, wantOK)
+		}
+	}
+}
+
 func TestTimeoutIsNotRetried(t *testing.T) {
 	old := abandonGrace
 	abandonGrace = 5 * time.Millisecond

@@ -85,7 +85,7 @@ func BenchmarkDirectSimulate(b *testing.B) {
 		cfg.Port = port
 		cfg.MaxInsts = benchInsts
 		cfg.Trace = tc
-		res, err := lbic.Simulate(prog, cfg)
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -317,20 +317,18 @@ func (s *Server) simulateCell(ctx context.Context, sp cellSpec) ([]byte, error) 
 		cfg.MaxInsts = sp.insts
 		cfg.CPU = sp.cpu
 		cfg.Mem = sp.mem
-		var res lbic.Result
-		var err error
-		if sp.trace != nil {
-			// An uploaded trace is already a recording; the shared trace
-			// cache has nothing to add.
-			res, err = lbic.SimulateTrace(ctx, sp.trace, cfg)
-		} else {
-			var prog *lbic.Program
-			if prog, err = s.program(&sp); err != nil {
+		// An uploaded trace is already a recording; the shared trace cache
+		// has nothing to add.
+		src := lbic.TraceSource(sp.trace)
+		if sp.trace == nil {
+			prog, err := s.program(&sp)
+			if err != nil {
 				return nil, err
 			}
+			src = lbic.ProgramSource(prog)
 			cfg.Trace = s.traces
-			res, err = lbic.SimulateContext(ctx, prog, cfg)
 		}
+		res, err := lbic.Simulate(ctx, src, cfg)
 		if err != nil {
 			return nil, err
 		}

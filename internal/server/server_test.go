@@ -45,7 +45,7 @@ func directReport(t *testing.T, bench, portName string, insts uint64) []byte {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = insts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSimulateTraceUpload(t *testing.T) {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = 0 // whole trace
-	res, err := lbic.SimulateTrace(ctx, rt, cfg)
+	res, err := lbic.Simulate(ctx, lbic.TraceSource(rt), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

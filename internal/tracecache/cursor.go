@@ -15,7 +15,7 @@ import "lbic/internal/trace"
 // what the lanes actually consume. That property is load-bearing: a shared
 // live emulator must stop at exactly the instruction budget for the oracle's
 // final-memory check to hold, and it is also what makes lane runs consume
-// the source exactly like the scalar path does.
+// the source exactly like a single core reading it directly does.
 //
 // A reader that finishes (or fails) calls Close to stop holding the window
 // back; if a slow reader pins the window while a fast one needs room, the

@@ -13,14 +13,17 @@
 //	cfg := lbic.DefaultConfig()
 //	cfg.Port = lbic.LBICPort(4, 2) // a 4x2 LBIC
 //	cfg.MaxInsts = 1_000_000
-//	res, _ := lbic.Simulate(prog, cfg)
+//	res, _ := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 //	fmt.Println(res.IPC)
+//
+// A Source may also be a recorded trace (TraceSource) or a synthetic
+// generator (GeneratorSource), and SimulateBatch runs K configurations over
+// one source, decoding each dynamic instruction once for all of them.
 package lbic
 
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 
 	"lbic/internal/cache"
 	"lbic/internal/core"
@@ -32,8 +35,6 @@ import (
 	"lbic/internal/refstream"
 	"lbic/internal/trace"
 	"lbic/internal/tracecache"
-	"lbic/internal/tracing"
-	"lbic/internal/vm"
 	"lbic/internal/workload"
 )
 
@@ -365,219 +366,6 @@ func buildArbiter(p PortConfig, lineSize int) (ports.Arbiter, error) {
 		return nil, fmt.Errorf("lbic: unknown port kind %d", p.Kind)
 	}
 	return o.build(p, lineSize)
-}
-
-// sim bundles one run's wired-up components, shared by Simulate and
-// TraceSimulation.
-type sim struct {
-	arb  ports.Arbiter
-	hier *cache.Hierarchy
-	core *cpu.Core
-	// machine is the live emulator; nil when the run replays a recorded
-	// trace (Config.Trace).
-	machine *emu.Machine
-	// tcache is the trace cache the run replayed from, nil otherwise.
-	tcache *TraceCache
-	// check is the attached invariant checker, nil unless Config.Verify.
-	check *oracle.Checker
-}
-
-// newSim constructs the arbiter and hierarchy for a configuration — the
-// components every run needs regardless of where its instruction stream
-// comes from.
-func newSim(cfg Config) (*sim, error) {
-	memParams := cache.DefaultParams()
-	if cfg.Mem != nil {
-		memParams = *cfg.Mem
-	}
-	arb, err := buildArbiter(cfg.Port, memParams.L1.LineSize)
-	if err != nil {
-		return nil, err
-	}
-	hier, err := cache.NewHierarchy(memParams)
-	if err != nil {
-		return nil, err
-	}
-	return &sim{arb: arb, hier: hier}, nil
-}
-
-// wireCore attaches the timing core to a stream and hooks up cfg.Events.
-func (s *sim) wireCore(stream trace.Stream, cfg Config) error {
-	cpuCfg := cpu.DefaultConfig()
-	if cfg.CPU != nil {
-		cpuCfg = *cfg.CPU
-	}
-	cpuCfg.MaxInsts = cfg.MaxInsts
-	c, err := cpu.New(stream, s.hier, s.arb, cpuCfg)
-	if err != nil {
-		return err
-	}
-	s.core = c
-	if cfg.Events != nil {
-		c.SetEventSink(cfg.Events)
-		s.hier.SetEventSink(cfg.Events)
-		if er, ok := s.arb.(ports.EventRecorder); ok {
-			er.SetEventSink(cfg.Events)
-		}
-	}
-	return nil
-}
-
-// buildSim constructs and wires the arbiter, hierarchy, and core for one run,
-// attaching cfg.Events to every layer that records structured events. The
-// instruction stream comes from cfg.Trace when eligible (recording on the
-// first request may block on ctx), from a fresh emulator otherwise.
-func buildSim(ctx context.Context, prog *Program, cfg Config) (*sim, error) {
-	s, err := newSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var stream trace.Stream
-	if cfg.Trace != nil && cfg.MaxInsts > 0 && !cfg.Verify {
-		stream, err = cfg.Trace.Stream(ctx, prog, cfg.MaxInsts)
-		if err != nil {
-			return nil, err
-		}
-		s.tcache = cfg.Trace
-	} else {
-		s.machine, err = emu.New(prog)
-		if err != nil {
-			return nil, err
-		}
-		stream = s.machine
-	}
-	if err := s.wireCore(stream, cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Verify {
-		s.check = oracle.NewChecker(prog, s.arb)
-		s.core.SetVerifier(s.check)
-	}
-	return s, nil
-}
-
-// finishVerify closes the attached checker against the emulator's final
-// memory; complete is false for runs cut short (truncated traces), where
-// in-flight operations legitimately remain.
-func (s *sim) finishVerify(complete bool) error {
-	if s.check == nil || !complete {
-		return nil
-	}
-	return s.check.Finish(s.machine.Mem())
-}
-
-// result assembles the Result of a finished run, including the metrics
-// registry.
-func (s *sim) result(name string, cfg Config, st cpu.Stats) Result {
-	res := Result{
-		Benchmark: name,
-		Port:      cfg.Port,
-		Cycles:    st.Cycles,
-		Insts:     st.Committed,
-		IPC:       st.IPC(),
-		CPU:       st,
-		Mem:       s.hier.Stats(),
-		Metrics:   buildMetricsRegistry(s.core, s.hier, s.arb, st),
-	}
-	if o, ok := portOrgFor(cfg.Port.Kind); ok && o.collect != nil {
-		o.collect(s.arb, &res)
-	}
-	if s.check != nil {
-		sum := s.check.Summary()
-		res.Verify = &sum
-	}
-	if s.tcache != nil {
-		ts := s.tcache.Stats()
-		res.TraceCache = &ts
-	}
-	return res
-}
-
-// recoverSimPanic converts panics escaping a simulation into errors: guest
-// faults (*vm.Fault — bad addresses, unimplemented opcodes) become a
-// "program faulted" error, and any other panic — a bug in a user-supplied
-// arbiter, or in the simulator itself — becomes an error carrying the panic
-// value and stack instead of tearing down the process. This is what lets the
-// sweep runner isolate one broken cell from the rest of a table. Call it
-// directly in a defer statement so recover sees the panicking frame.
-func recoverSimPanic(prog *Program, errp *error) { recoverRunPanic(prog.Name, errp, recover()) }
-
-// recoverRunPanic is the name-keyed core of recoverSimPanic, shared by runs
-// whose stream has no backing Program (trace replays, generators). It takes
-// the recover() value explicitly so wrappers can call it from their own defer.
-func recoverRunPanic(name string, errp *error, r any) {
-	if r == nil {
-		return
-	}
-	if f, ok := r.(*vm.Fault); ok {
-		*errp = fmt.Errorf("lbic: program %q faulted: %w", name, f)
-		return
-	}
-	*errp = fmt.Errorf("lbic: simulating %q panicked: %v\n%s", name, r, debug.Stack())
-}
-
-// Simulate runs prog on the paper's processor model under the configured
-// port organization and returns the measured statistics. It is
-// SimulateContext without cancellation.
-func Simulate(prog *Program, cfg Config) (Result, error) {
-	return SimulateContext(context.Background(), prog, cfg)
-}
-
-// SimulateContext is Simulate under a context: canceling ctx (or its deadline
-// expiring) stops the run at the next cycle-poll boundary with the context's
-// error. Guest faults and internal panics surface as errors, never panics.
-//
-// When ctx carries a trace (see WithTrace) the run contributes one terminal
-// span named "simulate <program>" with the run's coordinates and outcome —
-// port, instruction budget, cycles, IPC, whether the dynamic stream replayed
-// from the trace cache — so a traced sweep accounts simulation time down to
-// individual runs. Without a trace on ctx the span machinery costs nothing.
-func SimulateContext(ctx context.Context, prog *Program, cfg Config) (res Result, err error) {
-	ctx, span := tracing.Start(ctx, "simulate "+prog.Name)
-	defer span.End()
-	defer recoverSimPanic(prog, &err)
-	defer func() {
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-	}()
-	span.SetAttr("benchmark", prog.Name)
-	span.SetAttr("port", cfg.Port.Key())
-	if cfg.Trace != nil && cfg.MaxInsts > 0 && !cfg.Verify {
-		if cfg.Trace.Contains(prog, cfg.MaxInsts) {
-			span.SetAttr("trace_cache", "hit")
-		} else {
-			span.SetAttr("trace_cache", "miss")
-		}
-	} else {
-		span.SetAttr("trace_cache", "off")
-	}
-
-	s, err := buildSim(ctx, prog, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	span.SetAttr("replayed", s.tcache != nil)
-	span.Event("core start")
-	st, err := s.core.RunContext(ctx)
-	if err != nil {
-		return Result{}, fmt.Errorf("lbic: simulating %q on %s: %w", prog.Name, cfg.Port.Name(), err)
-	}
-	if err := s.finishVerify(true); err != nil {
-		return Result{}, fmt.Errorf("lbic: simulating %q on %s: %w", prog.Name, cfg.Port.Name(), err)
-	}
-	res = s.result(prog.Name, cfg, st)
-	span.SetAttr("cycles", res.Cycles)
-	span.SetAttr("insts", res.Insts)
-	span.SetAttr("ipc", res.IPC)
-	if res.BankConflicts > 0 {
-		span.SetAttr("bank_conflicts", res.BankConflicts)
-	}
-	if res.LBIC != nil {
-		span.SetAttr("lbic_line_conflicts", res.LBIC.LineConflicts)
-		span.SetAttr("lbic_combined", res.LBIC.Combined)
-	}
-	return res, nil
 }
 
 // CharacterizeOptions configures Characterize. The zero value measures the

@@ -21,13 +21,13 @@ func TestPatternsFacade(t *testing.T) {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = lbic.LBICPort(4, 4)
 	cfg.MaxInsts = 60_000
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bank := cfg
 	bank.Port = lbic.BankedPort(4)
-	resBank, err := lbic.Simulate(prog, bank)
+	resBank, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), bank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBankStridePatternDefeatsBitSelection(t *testing.T) {
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
 		cfg.MaxInsts = 60_000
-		res, err := lbic.Simulate(prog, cfg)
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,14 +84,14 @@ func TestCustomPort(t *testing.T) {
 	if cfg.Port.Name() != "custom-oldest-only" {
 		t.Errorf("Name() = %q", cfg.Port.Name())
 	}
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Oldest-only behaves like a single ideal port.
 	one := cfg
 	one.Port = lbic.IdealPort(1)
-	resOne, err := lbic.Simulate(prog, one)
+	resOne, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestConvergence(t *testing.T) {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = lbic.IdealPort(4)
 			cfg.MaxInsts = insts
-			res, err := lbic.Simulate(prog, cfg)
+			res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

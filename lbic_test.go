@@ -20,7 +20,7 @@ func simulate(t *testing.T, bench string, port lbic.PortConfig) lbic.Result {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = port
 	cfg.MaxInsts = testInsts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 	}
 	cfg := lbic.DefaultConfig()
 	cfg.Port = lbic.PortConfig{Kind: lbic.Banked, Banks: 3}
-	if _, err := lbic.Simulate(prog, cfg); err == nil {
+	if _, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg); err == nil {
 		t.Error("expected error for 3 banks")
 	}
 	cfg = lbic.DefaultConfig()
 	cfg.Port = lbic.PortConfig{Kind: lbic.PortKind(99)}
-	if _, err := lbic.Simulate(prog, cfg); err == nil {
+	if _, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg); err == nil {
 		t.Error("expected error for unknown port kind")
 	}
 }
@@ -299,7 +299,7 @@ func TestCustomProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := lbic.DefaultConfig()
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lbic
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -24,7 +25,7 @@ func runLBIC(t *testing.T, bench string, insts uint64, mut func(*Config)) Result
 	if mut != nil {
 		mut(&cfg)
 	}
-	res, err := Simulate(prog, cfg)
+	res, err := Simulate(context.Background(), ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func collectEvents(t *testing.T) []byte {
 	cfg.MaxInsts = 120
 	sink := NewJSONLEventSink(&buf)
 	cfg.Events = sink
-	if _, err := Simulate(prog, cfg); err != nil {
+	if _, err := Simulate(context.Background(), ProgramSource(prog), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Err(); err != nil {

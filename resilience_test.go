@@ -40,7 +40,7 @@ func TestSimulateRecoversArbiterPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	port := lbic.CustomPort("panic", func(int) (lbic.Arbiter, error) { return panicArbiter{}, nil })
-	_, err = lbic.Simulate(prog, smallCfg(port))
+	_, err = lbic.Simulate(context.Background(), lbic.ProgramSource(prog), smallCfg(port))
 	if err == nil {
 		t.Fatal("Simulate returned nil error for a panicking arbiter")
 	}
@@ -62,7 +62,7 @@ func TestSimulateReportsHangWithWatchdog(t *testing.T) {
 	cpuCfg := lbic.DefaultCPUConfig()
 	cpuCfg.WatchdogCycles = 1000
 	cfg.CPU = &cpuCfg
-	_, err = lbic.Simulate(prog, cfg)
+	_, err = lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err == nil {
 		t.Fatal("Simulate returned nil error for a starved pipeline")
 	}
@@ -83,9 +83,9 @@ func TestSimulateContextDeadline(t *testing.T) {
 	cfg.CPU = &cpuCfg
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err = lbic.SimulateContext(ctx, prog, cfg)
+	_, err = lbic.Simulate(ctx, lbic.ProgramSource(prog), cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SimulateContext = %v, want deadline exceeded", err)
+		t.Fatalf("Simulate = %v, want deadline exceeded", err)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestGuardFaultIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = lbic.Simulate(prog, lbic.DefaultConfig())
+	_, err = lbic.Simulate(context.Background(), lbic.ProgramSource(prog), lbic.DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), "faulted") {
 		t.Fatalf("Simulate = %v, want faulted error", err)
 	}

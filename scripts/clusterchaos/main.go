@@ -144,7 +144,7 @@ func directReport(bench, portName string, insts uint64) ([]byte, error) {
 		return nil, err
 	}
 	cfg.MaxInsts = insts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		return nil, err
 	}

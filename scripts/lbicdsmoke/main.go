@@ -72,7 +72,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.MaxInsts = *insts
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		log.Fatalf("lbicdsmoke: direct Simulate: %v", err)
 	}

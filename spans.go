@@ -10,7 +10,7 @@ import (
 // Request-to-cycle span tracing. A RequestTrace collects spans — timed,
 // named, parented operations with attributes — from every layer a request
 // crosses: the lbicd HTTP front end, the sweep runner's cells, and
-// SimulateContext itself. Attach one to a context with WithTrace, run as
+// Simulate itself. Attach one to a context with WithTrace, run as
 // usual, and export the snapshot as JSON Lines (lbic-trace/v1) or as a
 // Chrome trace-event document for chrome://tracing / Perfetto. Contexts
 // without a trace pay nothing: StartSpan returns a nil no-op span. (For the
@@ -35,7 +35,7 @@ const TraceSchema = tracing.Schema
 func NewRequestTrace() *RequestTrace { return tracing.New() }
 
 // WithTrace returns ctx carrying tr; subsequent StartSpan and
-// SimulateContext calls under it record spans.
+// Simulate calls under it record spans.
 func WithTrace(ctx context.Context, tr *RequestTrace) context.Context {
 	return tracing.NewContext(ctx, tr)
 }

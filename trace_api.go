@@ -30,12 +30,18 @@ type TraceOptions struct {
 // while the same cycle window under an LBIC drains it. The returned Result
 // is as complete as Simulate's, including Metrics and port statistics.
 func TraceSimulation(prog *Program, cfg Config, w io.Writer, opt TraceOptions) (res Result, err error) {
-	defer recoverSimPanic(prog, &err)
+	defer func() { recoverRunPanic(prog.Name, &err, recover()) }()
 
-	s, err := buildSim(context.Background(), prog, cfg)
+	src := ProgramSource(prog)
+	o, err := src.origin()
 	if err != nil {
 		return Result{}, err
 	}
+	m, err := wire(context.Background(), src, o, cfg.MaxInsts, []Config{cfg})
+	if err != nil {
+		return Result{}, err
+	}
+	s := m.sims[0]
 	st, err := cpu.TraceRun(s.core, w, cpu.TraceOptions{
 		SkipCycles: opt.SkipCycles,
 		MaxCycles:  opt.MaxCycles,
@@ -46,8 +52,10 @@ func TraceSimulation(prog *Program, cfg Config, w io.Writer, opt TraceOptions) (
 	}
 	// End-of-run verification only applies when the trace ran to
 	// completion; a MaxCycles cut legitimately leaves work in flight.
-	if err := s.finishVerify(opt.MaxCycles == 0); err != nil {
-		return Result{}, fmt.Errorf("lbic: tracing %q on %s: %w", prog.Name, cfg.Port.Name(), err)
+	if opt.MaxCycles == 0 {
+		if err := m.finishVerify(s); err != nil {
+			return Result{}, fmt.Errorf("lbic: tracing %q on %s: %w", prog.Name, cfg.Port.Name(), err)
+		}
 	}
-	return s.result(prog.Name, cfg, st), nil
+	return m.result(prog.Name, cfg, s, st), nil
 }

@@ -2,6 +2,7 @@ package lbic_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"lbic"
@@ -56,16 +57,16 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 			cfg := lbic.DefaultConfig()
 			cfg.Port = port
 			cfg.MaxInsts = insts
-			live, err := lbic.Simulate(prog, cfg)
+			live, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Trace = tc
-			recorded, err := lbic.Simulate(prog, cfg)
+			recorded, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := lbic.Simulate(prog, cfg)
+			replayed, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestTraceReplayVerifiedRunsStayLive(t *testing.T) {
 	cfg.MaxInsts = 10_000
 	cfg.Trace = lbic.NewTraceCache(0)
 	cfg.Verify = true
-	res, err := lbic.Simulate(prog, cfg)
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,11 @@ package lbic
 // lbic-run-report/v1 JSON) as a built-in benchmark run.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"lbic/internal/emu"
 	"lbic/internal/tracecache"
-	"lbic/internal/tracing"
 	"lbic/internal/workload"
 )
 
@@ -58,7 +56,7 @@ func GeneratorFields(kind string) []GenField { return workload.GenFieldsOf(kind)
 // RecordedTrace is a finite, replayable dynamic instruction trace with a
 // name, held in the same delta-coded encoding the in-process trace cache
 // uses. Obtain one from RecordBenchmarkTrace, RecordGeneratorTrace, or
-// ReadTraceStream; replay it with SimulateTrace; persist it with
+// ReadTraceStream; replay it with Simulate over TraceSource; persist it with
 // WriteTraceStream. A RecordedTrace is immutable and safe for concurrent
 // replay.
 type RecordedTrace struct {
@@ -140,105 +138,6 @@ func ReadTraceStream(r io.Reader) (*RecordedTrace, error) {
 		return nil, err
 	}
 	return &RecordedTrace{name: name, tr: tr}, nil
-}
-
-// SimulateTrace replays a recorded trace through the full timing model —
-// the same processor core, cache hierarchy, and port arbiter a benchmark
-// run uses — and returns the measured Result with Benchmark set to the
-// trace's name. cfg.MaxInsts of 0 runs to the end of the trace; a smaller
-// budget truncates it. cfg.Trace is ignored (the stream is already a
-// recording) and cfg.Verify is rejected: the invariant oracle needs the
-// live machine's memory image, which a bare address trace does not carry.
-//
-// Replaying a trace recorded from a generator yields a Result — and a
-// run-report serialization — byte-identical to simulating the generator's
-// stream directly via SimulateGenerator at the same budget.
-func SimulateTrace(ctx context.Context, t *RecordedTrace, cfg Config) (res Result, err error) {
-	ctx, span := tracing.Start(ctx, "simulate trace "+t.name)
-	defer span.End()
-	defer func() { recoverRunPanic(t.name, &err, recover()) }()
-	defer func() {
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-	}()
-	span.SetAttr("benchmark", t.name)
-	span.SetAttr("port", cfg.Port.Key())
-	span.SetAttr("trace_len", t.Len())
-	if cfg.Verify {
-		return Result{}, fmt.Errorf("lbic: replaying %q: Verify needs a live program, not a recorded trace", t.name)
-	}
-	// Clamp the budget to the trace: the core then stops at an explicit
-	// instruction count instead of discovering stream end one fetch late,
-	// which keeps stall accounting — and therefore the serialized run
-	// report — byte-identical to a direct run at the same budget.
-	if cfg.MaxInsts == 0 || cfg.MaxInsts > t.Len() {
-		cfg.MaxInsts = t.Len()
-	}
-	s, err := newSim(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.wireCore(t.tr.NewReader(), cfg); err != nil {
-		return Result{}, err
-	}
-	st, err := s.core.RunContext(ctx)
-	if err != nil {
-		return Result{}, fmt.Errorf("lbic: replaying %q on %s: %w", t.name, cfg.Port.Name(), err)
-	}
-	res = s.result(t.name, cfg, st)
-	span.SetAttr("cycles", res.Cycles)
-	span.SetAttr("ipc", res.IPC)
-	return res, nil
-}
-
-// SimulateGenerator runs a synthetic generator stream through the full
-// timing model, with Benchmark set to the resolved parameter key. Generator
-// streams never end, so cfg.MaxInsts must be positive. cfg.Verify is
-// rejected for the same reason as SimulateTrace. The Result is
-// byte-identical (as a serialized run report) to recording the generator at
-// the same budget and replaying it with SimulateTrace.
-func SimulateGenerator(ctx context.Context, p GenParams, cfg Config) (res Result, err error) {
-	rp, err := p.Resolve()
-	if err != nil {
-		return Result{}, err
-	}
-	name := rp.Key()
-	ctx, span := tracing.Start(ctx, "simulate gen "+name)
-	defer span.End()
-	defer func() { recoverRunPanic(name, &err, recover()) }()
-	defer func() {
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-	}()
-	span.SetAttr("benchmark", name)
-	span.SetAttr("port", cfg.Port.Key())
-	if cfg.Verify {
-		return Result{}, fmt.Errorf("lbic: generating %q: Verify needs a live program, not a synthetic stream", name)
-	}
-	if cfg.MaxInsts == 0 {
-		return Result{}, fmt.Errorf("lbic: generating %q: generator streams never end; set Config.MaxInsts", name)
-	}
-	stream, err := rp.Stream()
-	if err != nil {
-		return Result{}, err
-	}
-	s, err := newSim(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.wireCore(stream, cfg); err != nil {
-		return Result{}, err
-	}
-	st, err := s.core.RunContext(ctx)
-	if err != nil {
-		return Result{}, fmt.Errorf("lbic: generating %q on %s: %w", name, cfg.Port.Name(), err)
-	}
-	res = s.result(name, cfg, st)
-	span.SetAttr("cycles", res.Cycles)
-	span.SetAttr("ipc", res.IPC)
-	return res, nil
 }
 
 // PortConflicts returns the run's total same-bank conflict count — requests

@@ -67,12 +67,12 @@ func TestGeneratorTraceRoundTrip(t *testing.T) {
 					t.Parallel()
 					cfg := portCfg(t, pn)
 					cfg.MaxInsts = rtInsts
-					direct, err := lbic.SimulateGenerator(context.Background(), params, cfg)
+					direct, err := lbic.Simulate(context.Background(), lbic.GeneratorSource(params), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					cfg.MaxInsts = 0 // whole trace
-					replay, err := lbic.SimulateTrace(context.Background(), decoded, cfg)
+					replay, err := lbic.Simulate(context.Background(), lbic.TraceSource(decoded), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -110,12 +110,12 @@ func TestBenchmarkTraceRoundTrip(t *testing.T) {
 	}
 	cfg := portCfg(t, "lbic-4x2")
 	cfg.MaxInsts = rtInsts
-	direct, err := lbic.Simulate(prog, cfg)
+	direct, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MaxInsts = 0
-	replay, err := lbic.SimulateTrace(context.Background(), decoded, cfg)
+	replay, err := lbic.Simulate(context.Background(), lbic.TraceSource(decoded), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,10 @@ func TestSimulateTraceRejectsVerify(t *testing.T) {
 	}
 	cfg := lbic.DefaultConfig()
 	cfg.Verify = true
-	if _, err := lbic.SimulateTrace(context.Background(), rt, cfg); err == nil || !strings.Contains(err.Error(), "Verify") {
+	if _, err := lbic.Simulate(context.Background(), lbic.TraceSource(rt), cfg); err == nil || !strings.Contains(err.Error(), "Verify") {
 		t.Errorf("Verify replay: err = %v, want a Verify rejection", err)
 	}
-	if _, err := lbic.SimulateGenerator(context.Background(), lbic.GenParams{Kind: "chase"}, cfg); err == nil || !strings.Contains(err.Error(), "Verify") {
+	if _, err := lbic.Simulate(context.Background(), lbic.GeneratorSource(lbic.GenParams{Kind: "chase"}), cfg); err == nil || !strings.Contains(err.Error(), "Verify") {
 		t.Errorf("Verify generator: err = %v, want a Verify rejection", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestSimulateTraceRejectsVerify(t *testing.T) {
 func TestSimulateGeneratorNeedsBudget(t *testing.T) {
 	cfg := lbic.DefaultConfig()
 	cfg.MaxInsts = 0
-	if _, err := lbic.SimulateGenerator(context.Background(), lbic.GenParams{Kind: "zipf"}, cfg); err == nil {
+	if _, err := lbic.Simulate(context.Background(), lbic.GeneratorSource(lbic.GenParams{Kind: "zipf"}), cfg); err == nil {
 		t.Error("unbounded generator run accepted")
 	}
 	if _, err := lbic.RecordGeneratorTrace(lbic.GenParams{Kind: "zipf"}, 0); err == nil {
