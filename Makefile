@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke cluster-smoke advsearch-smoke pgo tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -16,11 +16,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: vet, the full suite under the race detector, and
-# one plain pass so the fuzz corpus seeds run as regression tests. The
-# benchmark under lbicbench/ is its own module, which the root ./... skips;
-# its ledger links the internal packages, so it is vetted and tested too.
+# check is the CI gate: formatting, vet, the full suite under the race
+# detector, and one plain pass so the fuzz corpus seeds run as regression
+# tests. The benchmark under lbicbench/ is its own module, which the root
+# ./... skips; its ledger links the internal packages, so it is vetted and
+# tested too.
 check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/
@@ -42,11 +44,33 @@ bench:
 
 # bench-smoke is the CI gate: one iteration of every benchmark, parsed by
 # benchjson so a broken benchmark or malformed output fails the build, plus
-# one table sweep so the lane-batched sweep path is exercised end to end.
+# one table sweep so the lane-batched sweep path is exercised end to end. It
+# also fails when a plain build of lbictables no longer picks up its
+# default.pgo, so a moved or deleted profile cannot silently drop the gain.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
 		| $(GO) run ./scripts/benchjson -o /dev/null
 	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 > /dev/null
+	$(GO) build -o /tmp/lbictables-pgo-check ./cmd/lbictables
+	$(GO) version -m /tmp/lbictables-pgo-check | grep -q -- '-pgo=' \
+		|| { echo 'lbictables was built without a PGO profile; run make pgo'; exit 1; }
+
+# pgo regenerates the profile-guided-optimization profile that a plain go
+# build (and so lbicbench/run.sh) applies to lbictables, lbicd and lbicsim,
+# each of which carries a copy as default.pgo. It is one CPU profile of the
+# benchmark's own shapes, taken from builds without a profile: the full table
+# sweep at 100k instructions (lane batches, every port kind) merged with the
+# K=1 trace-replay runs of BenchmarkSimulatorThroughput (served cells).
+# Regenerate it after changing the simulator's hot path.
+PGO_DIR ?= /tmp/lbic-pgo
+pgo:
+	mkdir -p $(PGO_DIR)
+	$(GO) build -pgo=off -o $(PGO_DIR)/lbictables ./cmd/lbictables
+	$(PGO_DIR)/lbictables -all -insts 100000 -q -cpuprofile $(PGO_DIR)/tables.pprof > /dev/null
+	$(GO) test -pgo=off -run '^$$' -bench 'BenchmarkSimulatorThroughput/.*/.*/replay' -benchtime 40x \
+		-o $(PGO_DIR)/lbic.test -cpuprofile $(PGO_DIR)/replay.pprof . > /dev/null
+	$(GO) tool pprof -proto $(PGO_DIR)/tables.pprof $(PGO_DIR)/replay.pprof > $(PGO_DIR)/merged.pgo
+	for cmd in lbictables lbicd lbicsim; do cp $(PGO_DIR)/merged.pgo cmd/$$cmd/default.pgo; done
 
 # tables-golden is the CI gate on output bytes: every table at 20k
 # instructions must match the checked-in JSON the benchmark verifies

@@ -63,6 +63,7 @@ type Array struct {
 	geom     Geometry
 	lineBits uint
 	setMask  uint64
+	tagShift uint  // log2(sets): a line number's set-index bits
 	ways     []way // sets x assoc, row-major
 	assoc    int
 	clock    uint64
@@ -83,6 +84,7 @@ func NewArray(g Geometry) (*Array, error) {
 		geom:     g,
 		lineBits: uint(g.LineBits()),
 		setMask:  uint64(g.Sets() - 1),
+		tagShift: uint(bits.TrailingZeros(uint(g.Sets()))),
 		ways:     make([]way, g.Sets()*g.Assoc),
 		assoc:    g.Assoc,
 	}, nil
@@ -93,7 +95,7 @@ func (a *Array) Geometry() Geometry { return a.geom }
 
 func (a *Array) set(addr uint64) (int, uint64) {
 	line := addr >> a.lineBits
-	return int(line&a.setMask) * a.assoc, line >> uint(bits.TrailingZeros(uint(a.geom.Sets())))
+	return int(line&a.setMask) * a.assoc, line >> a.tagShift
 }
 
 // Probe reports whether addr's line is present, without touching LRU state
@@ -169,8 +171,7 @@ func (a *Array) Install(addr uint64, dirty bool) (victim uint64, victimDirty, ev
 
 // reconstruct rebuilds a line-aligned address from set index and tag.
 func (a *Array) reconstruct(setIdx int, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros(uint(a.geom.Sets())))
-	return ((tag << setBits) | uint64(setIdx)) << a.lineBits
+	return ((tag << a.tagShift) | uint64(setIdx)) << a.lineBits
 }
 
 // Dirty reports whether addr's line is present and dirty.

@@ -199,8 +199,9 @@ type Core struct {
 	storeLive   int // live (incl. granted, unwritten) stores
 
 	// Per-cycle FU accounting.
-	fuUsed [isa.NumClasses]int      // pipelined issues this cycle
-	fuBusy [isa.NumClasses][]uint64 // release times for unpipelined units
+	fuUsed [isa.NumClasses]int         // pipelined issues this cycle
+	fuBusy [isa.NumClasses][]uint64    // release times for unpipelined units
+	lat    [isa.NumClasses]isa.Latency // isa.LatencyOf per class
 
 	reqBuf   []ports.Request
 	reqIdx   []int32 // parallel: RUU index (loads) or -(slot+1) (stores)
@@ -273,6 +274,9 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 	}
 	for r := range c.lastWriter {
 		c.lastWriter[r] = -1
+	}
+	for cl := range c.lat {
+		c.lat[cl] = isa.LatencyOf(isa.Class(cl))
 	}
 	for i := range c.entries {
 		c.entries[i] = entry{waiterHead: -1, waiterNext: -1, depHead: -1, depTail: -1}
@@ -854,9 +858,8 @@ func (c *Core) drainCompletions() {
 // --- issue ---
 
 func (c *Core) fuAvailable(cl isa.Class) bool {
-	lat := isa.LatencyOf(cl)
 	n := c.cfg.FUCount[cl]
-	if lat.Issue <= 1 {
+	if c.lat[cl].Issue <= 1 {
 		return c.fuUsed[cl] < n
 	}
 	busy := c.fuBusy[cl]
@@ -871,12 +874,12 @@ func (c *Core) fuAvailable(cl isa.Class) bool {
 }
 
 func (c *Core) fuOccupy(cl isa.Class) {
-	lat := isa.LatencyOf(cl)
-	if lat.Issue <= 1 {
+	issue := c.lat[cl].Issue
+	if issue <= 1 {
 		c.fuUsed[cl]++
 		return
 	}
-	c.fuBusy[cl] = append(c.fuBusy[cl], c.now+uint64(lat.Issue))
+	c.fuBusy[cl] = append(c.fuBusy[cl], c.now+uint64(issue))
 }
 
 // issue walks the ready set in age order: the bits from head to the end of
@@ -923,7 +926,7 @@ func (c *Core) issue() {
 				if e.isMem() {
 					kind = evAGU
 				}
-				c.schedule(c.now+uint64(isa.LatencyOf(cl).Total), event{kind: kind, idx: idx})
+				c.schedule(c.now+uint64(c.lat[cl].Total), event{kind: kind, idx: idx})
 				if budget--; budget == 0 {
 					return
 				}
@@ -986,9 +989,13 @@ func (c *Core) dispatch() {
 		if c.verify != nil && dyn.IsMem() {
 			c.verify.ObserveDispatch(dyn)
 		}
+		// Field by field, not *e = entry{...}: the literal would be built
+		// on the stack and copied in wide moves that stall on its narrow
+		// stores. Every path of the switch below sets the state.
 		e := &c.entries[idx]
-		*e = entry{seq: dyn.Seq, addr: dyn.Addr, class: dyn.Class, size: dyn.Size, dst: dyn.Dst,
-			waiterHead: -1, waiterNext: -1, depHead: -1, depTail: -1}
+		e.seq, e.addr, e.class, e.size, e.dst = dyn.Seq, dyn.Addr, dyn.Class, dyn.Size, dyn.Dst
+		e.addrDone = false
+		e.waiterHead, e.waiterNext, e.depHead, e.depTail = -1, -1, -1, -1
 		e.src1Ready = c.wireSource(dyn.Src1, idx, 1)
 		e.src2Ready = c.wireSource(dyn.Src2, idx, 2)
 

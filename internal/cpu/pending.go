@@ -5,12 +5,13 @@ import "lbic/internal/ports"
 // pendWin holds the loads waiting for a cache port: their port requests in
 // ascending seq order, ready to hand to the arbiter as they stand, and the
 // RUU index of each in a parallel slice. The live run [lo, hi) sits inside a
-// larger backing array so that both of its ends can move. An insert or a
-// remove shifts whichever side of its position is shorter; since grants take
-// mostly from the front and address generation adds mostly at the back, that
-// side is usually empty or short. When the side that must grow reaches the
-// edge of the array, the run is first moved back to the middle; the array
-// grows only when the run fills it.
+// larger backing array so that both of its ends can move. Grants take mostly
+// from the front and address generation adds mostly at the back, so an
+// insert past the back appends and a remove of the front pops, neither
+// searching; any other insert or remove searches and shifts whichever side
+// of its position is shorter. When the side that must grow reaches the edge
+// of the array, the run is first moved back to the middle; the array grows
+// only when the run fills it.
 type pendWin struct {
 	reqs   []ports.Request
 	idx    []int32
@@ -53,6 +54,14 @@ func (w *pendWin) search(seq uint64) int {
 
 // insert adds the request of the load in RUU slot idx in seq order.
 func (w *pendWin) insert(r ports.Request, idx int32) {
+	if w.lo == w.hi || r.Seq > w.reqs[w.hi-1].Seq {
+		if w.hi == len(w.reqs) {
+			w.recentre()
+		}
+		w.reqs[w.hi], w.idx[w.hi] = r, idx
+		w.hi++
+		return
+	}
 	p := w.search(r.Seq)
 	left := p-w.lo < w.hi-p
 	if left && w.lo == 0 || !left && w.hi == len(w.reqs) {
@@ -74,6 +83,10 @@ func (w *pendWin) insert(r ports.Request, idx int32) {
 
 // remove deletes the request with the given seq, if it is pending.
 func (w *pendWin) remove(seq uint64) {
+	if w.lo < w.hi && w.reqs[w.lo].Seq == seq {
+		w.lo++
+		return
+	}
 	p := w.search(seq)
 	if p == w.hi || w.reqs[p].Seq != seq {
 		return

@@ -93,3 +93,45 @@ func checkPendWin(t *testing.T, seed int64, op int, w *pendWin, ref []uint64) {
 		t.Fatalf("seed %d op %d: front past the end returned %d of %d", seed, op, len(reqs), len(ref))
 	}
 }
+
+// TestPendWinEnds drives the window's search-free paths, in-order appends
+// and front pops, to the edges of its array: appends that reach the end must
+// recentre the run or grow the array, a front pop right after a recentre must
+// leave the run intact, and a second remove of a popped seq is a no-op.
+func TestPendWinEnds(t *testing.T) {
+	var w pendWin
+	w.init(2)
+	var ref []uint64
+	next := uint64(1)
+	recentres, grows, popsAfterRecentre := 0, 0, 0
+	for op := 0; op < 400; op++ {
+		// Grow the run to 12, then hold it at 3 or 4 as a FIFO, so it drifts
+		// to the end of the array again and again.
+		lo, size := w.lo, len(w.reqs)
+		w.insert(ports.Request{Seq: next, Addr: next * 8}, int32(next%1021))
+		ref = append(ref, next)
+		next++
+		moved := w.lo != lo
+		switch {
+		case len(w.reqs) != size:
+			grows++
+		case moved:
+			recentres++
+		}
+		checkPendWin(t, 0, op, &w, ref)
+		for op >= 12 && len(ref) > 3 {
+			w.remove(ref[0])
+			w.remove(ref[0]) // a second remove of the same seq is a no-op
+			ref = ref[1:]
+			checkPendWin(t, 0, op, &w, ref)
+			if moved {
+				popsAfterRecentre++
+				moved = false
+			}
+		}
+	}
+	if recentres == 0 || grows == 0 || popsAfterRecentre == 0 {
+		t.Fatalf("%d recentres, %d grows, %d pops right after a recentre; the walk must exercise all three",
+			recentres, grows, popsAfterRecentre)
+	}
+}

@@ -83,33 +83,37 @@ func (a *Banked) BankConflicts() []uint64 { return append([]uint64(nil), a.bankC
 func (a *Banked) BankSameLineConflicts() []uint64 { return append([]uint64(nil), a.bankSameLine...) }
 
 // Grant implements Arbiter: scan oldest-first, granting each request whose
-// bank is still free this cycle.
+// bank is still free this cycle. The conflict totals are kept in locals: the
+// compiler cannot hold a field in a register across the slice stores.
 func (a *Banked) Grant(now uint64, ready []Request, dst []int) []int {
 	for i := range a.busy {
 		a.busy[i] = false
 	}
+	var conflicts, sameLine uint64
 	for i := range ready {
 		b := a.sel.BankOf(ready[i].Addr)
+		line := a.sel.LineOf(ready[i].Addr)
 		if a.busy[b] {
-			a.Conflicts++
+			conflicts++
 			a.bankConflict[b]++
 			cause := "bank-busy"
-			if a.lines[b] == a.sel.LineOf(ready[i].Addr) {
-				a.SameLineConflicts++
+			if a.lines[b] == line {
+				sameLine++
 				a.bankSameLine[b]++
 				cause = "same-line"
 			}
 			if a.events != nil {
 				a.events.Emit(trace.Event{Cycle: now, Kind: trace.EvConflict,
-					Seq: int64(ready[i].Seq), Bank: b,
-					Line: a.sel.LineOf(ready[i].Addr), Cause: cause})
+					Seq: int64(ready[i].Seq), Bank: b, Line: line, Cause: cause})
 			}
 			continue
 		}
 		a.busy[b] = true
-		a.lines[b] = a.sel.LineOf(ready[i].Addr)
+		a.lines[b] = line
 		a.bankAccess[b]++
 		dst = append(dst, i)
 	}
+	a.Conflicts += conflicts
+	a.SameLineConflicts += sameLine
 	return dst
 }

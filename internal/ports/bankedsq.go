@@ -132,6 +132,7 @@ func (a *BankedSQ) Grant(_ uint64, ready []Request, dst []int) []int {
 		a.busy[i] = false
 		a.accepted[i] = false
 	}
+	var conflicts, direct uint64
 	for i := range ready {
 		b := a.sel.BankOf(ready[i].Addr)
 		if ready[i].Store {
@@ -143,18 +144,18 @@ func (a *BankedSQ) Grant(_ uint64, ready []Request, dst []int) []int {
 			}
 			// Queue full (or acceptance used): direct write via the port.
 			if a.busy[b] {
-				a.Conflicts++
+				conflicts++
 				a.bankConflict[b]++
 				continue
 			}
 			a.busy[b] = true
-			a.DirectStores++
+			direct++
 			a.bankAccess[b]++
 			dst = append(dst, i)
 			continue
 		}
 		if a.busy[b] {
-			a.Conflicts++
+			conflicts++
 			a.bankConflict[b]++
 			continue
 		}
@@ -162,6 +163,8 @@ func (a *BankedSQ) Grant(_ uint64, ready []Request, dst []int) []int {
 		a.bankAccess[b]++
 		dst = append(dst, i)
 	}
+	a.Conflicts += conflicts
+	a.DirectStores += direct
 	// Idle banks (no array access and no queue acceptance this cycle)
 	// retire one queued line.
 	for b := range a.storeQ {

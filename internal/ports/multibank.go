@@ -69,10 +69,11 @@ func (a *MultiPortedBanks) Grant(_ uint64, ready []Request, dst []int) []int {
 	for i := range a.used {
 		a.used[i] = 0
 	}
+	var conflicts uint64
 	for i := range ready {
 		b := a.sel.BankOf(ready[i].Addr)
 		if a.used[b] >= a.ports {
-			a.Conflicts++
+			conflicts++
 			a.bankConflict[b]++
 			continue
 		}
@@ -80,5 +81,6 @@ func (a *MultiPortedBanks) Grant(_ uint64, ready []Request, dst []int) []int {
 		a.bankAccess[b]++
 		dst = append(dst, i)
 	}
+	a.Conflicts += conflicts
 	return dst
 }

@@ -252,6 +252,11 @@ func (c *Cache) Stream(ctx context.Context, prog *isa.Program, insts uint64) (tr
 // instructions, recording via a fresh emulator on the first request. It is
 // Stream without the reader wrapper, for callers that attach several readers
 // to one recording (a SharedCursor stepping K lanes decodes it once).
+//
+// The recording elides memory values, so replay yields Value 0: the timing
+// core and the characterization passes never read it, and the one consumer
+// that does, the Verify oracle, always runs live because it also needs the
+// emulator's final memory.
 func (c *Cache) Recorded(ctx context.Context, prog *isa.Program, insts uint64) (*Trace, error) {
 	if insts == 0 {
 		return nil, fmt.Errorf("tracecache: zero instruction budget for %q", prog.Name)
@@ -261,7 +266,7 @@ func (c *Cache) Recorded(ctx context.Context, prog *isa.Program, insts uint64) (
 		if err != nil {
 			return nil, err
 		}
-		return Record(m, insts), nil
+		return RecordWith(m, RecordOptions{MaxInsts: insts, OmitValues: true}), nil
 	})
 }
 

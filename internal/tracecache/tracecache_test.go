@@ -14,6 +14,8 @@ import (
 
 // TestRoundTrip replays every workload's recording against a fresh emulator
 // and requires Dyn-for-Dyn equality — the property the whole layer rests on.
+// The cache's own recording of the same stream elides memory values: it
+// must be smaller and replay the same records with Value 0.
 func TestRoundTrip(t *testing.T) {
 	for _, in := range workload.All() {
 		in := in
@@ -31,24 +33,37 @@ func TestRoundTrip(t *testing.T) {
 			if got, naive := tr.SizeBytes(), int64(n*64); got >= naive/4 {
 				t.Errorf("trace is %d bytes; want well under a naive encoding's %d", got, naive)
 			}
+			cached, err := New(0).Recorded(context.Background(), prog, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cached.ValuesElided() || tr.ValuesElided() {
+				t.Fatalf("values elided: cache %v, Record %v; want true, false", cached.ValuesElided(), tr.ValuesElided())
+			}
+			if cached.SizeBytes() >= tr.SizeBytes() {
+				t.Errorf("cache recording is %d bytes, not below the value-carrying %d", cached.SizeBytes(), tr.SizeBytes())
+			}
 			ref, err := emu.New(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := tr.NewReader()
-			var want, got trace.Dyn
+			r, rc := tr.NewReader(), cached.NewReader()
+			var want, got, gotc trace.Dyn
 			for i := 0; i < n; i++ {
 				if !ref.Next(&want) {
 					t.Fatalf("reference stream ended early at %d", i)
 				}
-				if !r.Next(&got) {
+				if !r.Next(&got) || !rc.Next(&gotc) {
 					t.Fatalf("replay ended early at %d", i)
 				}
 				if got != want {
 					t.Fatalf("inst %d: replay %+v, want %+v", i, got, want)
 				}
+				if want.Value = 0; gotc != want {
+					t.Fatalf("inst %d: cache replay %+v, want %+v", i, gotc, want)
+				}
 			}
-			if r.Next(&got) {
+			if r.Next(&got) || rc.Next(&gotc) {
 				t.Fatalf("replay yielded more than %d instructions", n)
 			}
 		})

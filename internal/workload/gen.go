@@ -401,11 +401,11 @@ func genLaneReg(l int) isa.Reg { return isa.R(8 + l%16) } // pointer-chase lane 
 // buffer; fill appends the next loop iteration. All state is by-value
 // inside the struct, so a params→stream construction is repeatable.
 type genStream struct {
-	seq    uint64
-	rng    prng
-	buf    []trace.Dyn
-	head   int
-	fill   func(g *genStream)
+	seq     uint64
+	rng     prng
+	buf     []trace.Dyn
+	head    int
+	fill    func(g *genStream)
 	memPct  int
 	nMem    int // memory ops emitted (rotation index)
 	nNonMem int // every other op, fixed or filler

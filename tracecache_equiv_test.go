@@ -117,29 +117,38 @@ func firstDiff(a, b []byte) []byte {
 	return a[lo:hi]
 }
 
-// TestTraceReplayVerifiedRunsStayLive: Config.Verify needs the live machine,
-// so a verified run must ignore the cache and still pass its oracle.
+// TestTraceReplayVerifiedRunsStayLive: the trace cache records without
+// memory values, and Config.Verify needs them and the live machine's final
+// memory, so a verified run must bypass even a warm cache and still pass its
+// oracle, on every kernel.
 func TestTraceReplayVerifiedRunsStayLive(t *testing.T) {
-	prog, err := lbic.BuildBenchmark("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := lbic.DefaultConfig()
-	cfg.Port = lbic.LBICPort(4, 2)
-	cfg.MaxInsts = 10_000
-	cfg.Trace = lbic.NewTraceCache(0)
-	cfg.Verify = true
-	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verify == nil {
-		t.Fatal("verified run carries no verification summary")
-	}
-	if res.TraceCache != nil {
-		t.Error("verified run replayed from the trace cache")
-	}
-	if s := cfg.Trace.Stats(); s.Records != 0 || s.Hits != 0 {
-		t.Errorf("verified run touched the trace cache: %+v", s)
+	tc := lbic.NewTraceCache(0)
+	for _, name := range lbic.BenchmarkNames() {
+		prog, err := lbic.BuildBenchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := lbic.DefaultConfig()
+		cfg.Port = lbic.LBICPort(4, 2)
+		cfg.MaxInsts = 10_000
+		cfg.Trace = tc
+		if _, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg); err != nil {
+			t.Fatal(err) // records the kernel's trace
+		}
+		before := tc.Stats()
+		cfg.Verify = true
+		res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Verify == nil {
+			t.Fatalf("%s: verified run carries no verification summary", name)
+		}
+		if res.TraceCache != nil {
+			t.Errorf("%s: verified run replayed from the trace cache", name)
+		}
+		if after := tc.Stats(); after.Records != before.Records || after.Hits != before.Hits {
+			t.Errorf("%s: verified run touched the trace cache: %+v, then %+v", name, before, after)
+		}
 	}
 }
