@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke cluster-smoke advsearch-smoke pgo tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke advsearch-smoke pgo tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -92,22 +92,19 @@ bench-diff:
 # to the direct in-process run, that a repeat request is a cache hit, that a
 # traced sweep exports a valid span tree (written to TRACE_ARTIFACT for CI
 # upload), and that /metrics is valid Prometheus exposition with nonzero
-# request counters.
+# request counters. It then sends lbicd SIGTERM, which must drain it to a
+# clean exit: status 0 and the final msg=bye log line.
 TRACE_ARTIFACT ?= /tmp/lbicd-job-trace.jsonl
 lbicd-smoke:
 	$(GO) build -o /tmp/lbicd ./cmd/lbicd
-	/tmp/lbicd -addr 127.0.0.1:8329 & echo $$! > /tmp/lbicd.pid; \
-	trap 'kill $$(cat /tmp/lbicd.pid) 2>/dev/null' EXIT; \
-	$(GO) run ./scripts/lbicdsmoke -addr http://127.0.0.1:8329 -trace-artifact $(TRACE_ARTIFACT)
-
-# cluster-smoke is the CI gate for the distributed plane: a coordinator plus
-# three worker processes run a sweep, one worker is SIGKILLed mid-job, and
-# every cell must still complete byte-identical to the single-process run.
-# It then points a coordinator at dead ports and requires the same request to
-# complete by graceful degradation to in-process execution.
-cluster-smoke:
-	$(GO) build -o /tmp/lbicd ./cmd/lbicd
-	$(GO) run ./scripts/clusterchaos -smoke -lbicd /tmp/lbicd
+	/tmp/lbicd -addr 127.0.0.1:8329 2> /tmp/lbicd-smoke.log & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null' EXIT; \
+	$(GO) run ./scripts/lbicdsmoke -addr http://127.0.0.1:8329 -trace-artifact $(TRACE_ARTIFACT) \
+		|| { cat /tmp/lbicd-smoke.log; exit 1; }; \
+	kill -TERM $$pid; status=0; wait $$pid || status=$$?; \
+	if [ $$status -ne 0 ] || ! grep -q 'msg=bye' /tmp/lbicd-smoke.log; then \
+		cat /tmp/lbicd-smoke.log; echo "lbicd exited $$status on SIGTERM without a clean drain"; exit 1; \
+	fi
 
 # advsearch-smoke is the CI gate for the adversarial-workload loop: a tiny
 # fixed-seed search must complete (once against plain banking, once against
@@ -133,6 +130,7 @@ workloads:
 # target per invocation). Corpus seeds live in each package's testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test . -fuzz FuzzParsePortName -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm/ -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzArbiterGrant -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzCombining -fuzztime $(FUZZTIME)

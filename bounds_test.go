@@ -92,6 +92,13 @@ func TestPortConfigErrors(t *testing.T) {
 			"LBIC store queue depth -1 is not positive"},
 		{lbic.PortConfig{Kind: lbic.BankedStoreQueue, Banks: 4, StoreQueueDepth: -1},
 			"store queue depth -1 is not positive"},
+		// Every dimension and the peak width are capped, so a port name
+		// cannot size allocations in proportion to its digits.
+		{lbic.BankedPort(8388608), "bank count 8388608 exceeds the limit of 1024"},
+		{lbic.IdealPort(10000000), "width 10000000 exceeds the limit of 1024"},
+		{lbic.MultiPortedBanksPort(1024, 1024), "peak width 1048576 exceeds the limit of 1024"},
+		{lbic.PortConfig{Kind: lbic.BankedStoreQueue, Banks: 4, StoreQueueDepth: 1 << 20},
+			"store queue depth 1048576 exceeds the limit of 1024"},
 	}
 	for _, c := range cases {
 		if _, err := lbic.ScenarioCycles(c.port, refs); err == nil {
@@ -142,6 +149,37 @@ func TestSimConfigErrors(t *testing.T) {
 			cpu.RUUSize = 0
 			cfg.CPU = &cpu
 		}, "RUU size 0 is not positive"},
+		// Every size an override can set is capped: each reaches make.
+		{"oversized RUU", func(cfg *lbic.Config) {
+			cpu := lbic.DefaultCPUConfig()
+			cpu.RUUSize = 1 << 20
+			cfg.CPU = &cpu
+		}, "RUU size 1048576 exceeds the limit of 4096"},
+		{"oversized scan depth", func(cfg *lbic.Config) {
+			cpu := lbic.DefaultCPUConfig()
+			cpu.MemScanDepth = 1 << 20
+			cfg.CPU = &cpu
+		}, "memory scan depth 1048576 exceeds the limit of 4096"},
+		{"oversized FU count", func(cfg *lbic.Config) {
+			cpu := lbic.DefaultCPUConfig()
+			cpu.FUCount[0] = 1 << 20
+			cfg.CPU = &cpu
+		}, "exceeds the limit of 4096"},
+		{"oversized L2", func(cfg *lbic.Config) {
+			mem := lbic.DefaultMemParams()
+			mem.L2.Size = 1 << 30
+			cfg.Mem = &mem
+		}, "L2: cache: size 1073741824 holds 16777216 lines of 64 bytes, over the limit of 65536 lines"},
+		{"overflowing L1 geometry", func(cfg *lbic.Config) {
+			mem := lbic.DefaultMemParams()
+			mem.L1 = lbic.Geometry{Size: 32 << 10, LineSize: 1 << 32, Assoc: 1 << 32}
+			cfg.Mem = &mem
+		}, "L1: cache: size 32768 is not a multiple of line size"},
+		{"oversized memory latency", func(cfg *lbic.Config) {
+			mem := lbic.DefaultMemParams()
+			mem.MemLat = 1 << 62
+			cfg.Mem = &mem
+		}, "memory latency 4611686018427387904 exceeds the limit of 65536"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -374,22 +374,6 @@ func (c *Client) streamSSEOnce(ctx context.Context, id string, lastID *int, fn f
 	return false, fmt.Errorf("lbicd: SSE stream ended without a done event")
 }
 
-// Cluster fetches the coordinator's cluster status (GET /v1/cluster):
-// worker membership, dispatch counters, and result-store statistics. A
-// standalone server (no cluster wired) answers 404.
-func (c *Client) Cluster(ctx context.Context) (ClusterStatus, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/cluster", nil)
-	if err != nil {
-		return ClusterStatus{}, err
-	}
-	defer resp.Body.Close()
-	var st ClusterStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return ClusterStatus{}, fmt.Errorf("lbicd: decoding cluster status: %w", err)
-	}
-	return st, nil
-}
-
 // Metrics fetches the server's metrics as a structured snapshot
 // (GET /metrics?format=json).
 func (c *Client) Metrics(ctx context.Context) (lbic.MetricsSnapshot, error) {

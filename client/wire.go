@@ -172,14 +172,9 @@ type StreamEvent struct {
 }
 
 // Health is the body of GET /healthz: liveness plus enough build identity
-// to tell which binary answered. For cluster members it doubles as the
-// heartbeat payload: the coordinator polls each worker's /healthz and reads
-// the capacity fields off the response.
+// to tell which binary answered.
 type Health struct {
 	Status string `json:"status"`
-	// Role is how the process was launched: "standalone" (the default),
-	// "worker", or "coordinator".
-	Role string `json:"role,omitempty"`
 	// UptimeSeconds is the time since the server process constructed its
 	// Server, in seconds.
 	UptimeSeconds float64 `json:"uptime_seconds,omitempty"`
@@ -190,58 +185,6 @@ type Health struct {
 	Module    string `json:"module,omitempty"`
 	Version   string `json:"version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
-	// MaxParallel and QueuedCells advertise capacity: the concurrency bound
-	// and the admitted-but-unfinished cell count at the time of the scrape.
-	MaxParallel int `json:"max_parallel,omitempty"`
-	QueuedCells int `json:"queued_cells"`
-}
-
-// ClusterStatus is the body of GET /v1/cluster on a coordinator: worker
-// membership as the heartbeat loop sees it, the content-addressed result
-// store's counters, and the dispatcher's robustness tallies.
-type ClusterStatus struct {
-	// Fingerprint is the code identity the result store is keyed under.
-	Fingerprint string `json:"fingerprint"`
-	// Workers lists every configured worker, evicted or not.
-	Workers []ClusterWorker `json:"workers"`
-	// StoreHits/StoreMisses/StorePuts count content-addressed store traffic
-	// (all zero when the coordinator runs without a store directory).
-	StoreHits   uint64 `json:"store_hits"`
-	StoreMisses uint64 `json:"store_misses"`
-	StorePuts   uint64 `json:"store_puts"`
-	// Dispatched counts cells offered to the cluster; RemoteOK of those were
-	// served by a worker, Retries counts extra attempts after a failed one,
-	// Hedges counts duplicate dispatches fired at stragglers and HedgeWins
-	// how many of those duplicates finished first. Unavailable counts cells
-	// the cluster could not serve at all — the coordinator's server ran
-	// those locally (graceful degradation).
-	Dispatched  uint64 `json:"dispatched"`
-	RemoteOK    uint64 `json:"remote_ok"`
-	Retries     uint64 `json:"retries"`
-	Hedges      uint64 `json:"hedges"`
-	HedgeWins   uint64 `json:"hedge_wins"`
-	Unavailable uint64 `json:"unavailable"`
-}
-
-// ClusterWorker is one worker's membership state in a ClusterStatus.
-type ClusterWorker struct {
-	Addr string `json:"addr"`
-	// Healthy is the heartbeat verdict; ConsecutiveFails counts missed
-	// heartbeats since the last success (eviction trips past a threshold,
-	// one success readmits).
-	Healthy          bool `json:"healthy"`
-	ConsecutiveFails int  `json:"consecutive_fails,omitempty"`
-	// LastSeenAgeSeconds is how long ago the last successful heartbeat was
-	// (negative when the worker has never answered).
-	LastSeenAgeSeconds float64 `json:"last_seen_age_seconds"`
-	// MaxParallel and QueuedCells echo the worker's advertised capacity.
-	MaxParallel int `json:"max_parallel,omitempty"`
-	QueuedCells int `json:"queued_cells"`
-	// Dispatched, Served, and Errors count this worker's cell traffic as the
-	// coordinator saw it.
-	Dispatched uint64 `json:"dispatched"`
-	Served     uint64 `json:"served"`
-	Errors     uint64 `json:"errors"`
 }
 
 // ErrorResponse is the body of every non-2xx JSON error.

@@ -42,8 +42,6 @@ func main() {
 		err = cmdTrace(os.Args[2:])
 	case "health":
 		err = cmdHealth(os.Args[2:])
-	case "cluster":
-		err = cmdCluster(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -65,7 +63,6 @@ commands:
   top     submit a sweep (or attach with -job) and watch it live
   trace   export a job's span trace (chrome://tracing or JSONL)
   health  print the server's health and build identity
-  cluster print a coordinator's worker membership and dispatch counters
 
 run "lbicctl <command> -h" for the command's flags
 `)
@@ -191,37 +188,6 @@ func cmdHealth(args []string) error {
 	fmt.Printf("module:   %s %s\n", h.Module, h.Version)
 	if h.Revision != "" {
 		fmt.Printf("revision: %s\n", h.Revision)
-	}
-	return nil
-}
-
-func cmdCluster(args []string) error {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:8329", "coordinator base URL")
-	fs.Parse(args)
-	ctx, stop := signalContext()
-	defer stop()
-	st, err := client.New(*server).Cluster(ctx)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fingerprint: %s\n", st.Fingerprint)
-	fmt.Printf("dispatched:  %d (%d remote, %d retries, %d unavailable)\n",
-		st.Dispatched, st.RemoteOK, st.Retries, st.Unavailable)
-	fmt.Printf("hedges:      %d fired, %d won\n", st.Hedges, st.HedgeWins)
-	fmt.Printf("store:       %d hits, %d misses, %d puts\n", st.StoreHits, st.StoreMisses, st.StorePuts)
-	fmt.Printf("workers:     %d\n", len(st.Workers))
-	for _, w := range st.Workers {
-		state := "healthy"
-		if !w.Healthy {
-			state = fmt.Sprintf("EVICTED (%d consecutive fails)", w.ConsecutiveFails)
-		}
-		age := "never"
-		if w.LastSeenAgeSeconds >= 0 {
-			age = fmt.Sprintf("%.1fs ago", w.LastSeenAgeSeconds)
-		}
-		fmt.Printf("  %-30s %-12s seen %-10s cap %d queued %d  %d dispatched / %d served / %d errors\n",
-			w.Addr, state, age, w.MaxParallel, w.QueuedCells, w.Dispatched, w.Served, w.Errors)
 	}
 	return nil
 }

@@ -16,26 +16,6 @@
 // On SIGTERM or SIGINT the server drains gracefully: new requests are
 // rejected with 503 while in-flight requests and accepted jobs finish (up
 // to -drain-timeout); a second signal aborts immediately.
-//
-// # Cluster roles
-//
-// The same binary serves three roles. Standalone (default) runs every cell
-// in-process. -worker is the same serving plane, advertised as a cluster
-// member via its /healthz capacity fields. -coordinator -workers a,b,c
-// consistent-hashes each cell onto the healthy workers, with retry onto a
-// different worker, hedged duplicates for stragglers (-hedge-after),
-// heartbeat-driven eviction/readmission, an optional content-addressed
-// result store (-store-dir), and graceful degradation to in-process
-// execution when no worker can serve a cell:
-//
-//	lbicd -worker -addr :8331
-//	lbicd -coordinator -workers localhost:8331,localhost:8332,localhost:8333 \
-//	      -store-dir /var/lib/lbicd/store -addr :8329
-//
-// The -chaos-* flags inject faults on a worker's API routes (never on
-// /healthz or /metrics) for resilience drills: -chaos-drop-rate severs
-// connections mid-request, -chaos-slow-ms delays responses, and
-// -chaos-kill-after SIGKILLs the process after N served simulate calls.
 package main
 
 import (
@@ -48,11 +28,9 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"lbic/internal/cluster"
 	"lbic/internal/server"
 )
 
@@ -69,20 +47,6 @@ func main() {
 		traceCacheMB = flag.Int64("trace-cache-mb", 256, "trace cache budget in MiB (-1 = disable)")
 		resultMB     = flag.Int64("result-cache-mb", 64, "result cache budget in MiB (-1 = disable)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful drain deadline on SIGTERM")
-
-		worker      = flag.Bool("worker", false, "serve as a cluster worker (advertises capacity on /healthz)")
-		coordinator = flag.Bool("coordinator", false, "serve as a cluster coordinator dispatching cells to -workers")
-		workers     = flag.String("workers", "", "comma-separated worker base URLs or host:port pairs (coordinator)")
-		storeDir    = flag.String("store-dir", "", "content-addressed result store directory (coordinator; empty = none)")
-		heartbeat   = flag.Duration("heartbeat", time.Second, "worker heartbeat interval (coordinator)")
-		evictAfter  = flag.Int("evict-after", 3, "consecutive missed heartbeats before a worker is evicted")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "duplicate a dispatch onto another worker after this wait (0 = off)")
-		rAttempts   = flag.Int("remote-attempts", 3, "dispatch attempts per cell before degrading to local execution")
-
-		chaosKill = flag.Int("chaos-kill-after", 0, "SIGKILL self after serving this many /v1/simulate requests (0 = off)")
-		chaosDrop = flag.Float64("chaos-drop-rate", 0, "probability of severing an API request's connection")
-		chaosSlow = flag.Int("chaos-slow-ms", 0, "fixed latency in milliseconds injected before each API request")
-		chaosSeed = flag.Int64("chaos-seed", 0, "seed for the chaos drop pattern (0 = clock)")
 	)
 	flag.Parse()
 
@@ -109,59 +73,6 @@ func main() {
 	if cellT == 0 {
 		cellT = -1 // Options maps <0 to "no deadline"; 0 means "default".
 	}
-	if *worker && *coordinator {
-		log.Error("-worker and -coordinator are mutually exclusive")
-		os.Exit(2)
-	}
-	role := "standalone"
-	switch {
-	case *worker:
-		role = "worker"
-	case *coordinator:
-		role = "coordinator"
-	}
-
-	clusterCtx, clusterStop := context.WithCancel(context.Background())
-	defer clusterStop()
-	var remote server.RemoteExecutor
-	if *coordinator {
-		var addrs []string
-		for _, a := range strings.Split(*workers, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			if !strings.Contains(a, "://") {
-				a = "http://" + a
-			}
-			addrs = append(addrs, a)
-		}
-		if len(addrs) == 0 {
-			log.Error("-coordinator requires -workers host:port,...")
-			os.Exit(2)
-		}
-		pool := cluster.NewPool(addrs, cluster.PoolOptions{
-			Interval:   *heartbeat,
-			EvictAfter: *evictAfter,
-			Log:        log,
-		})
-		pool.Start(clusterCtx)
-		var store *cluster.Store
-		if *storeDir != "" {
-			var err error
-			if store, err = cluster.OpenStore(*storeDir, cluster.Fingerprint()); err != nil {
-				log.Error("opening result store", "dir", *storeDir, "err", err)
-				os.Exit(1)
-			}
-		}
-		remote = cluster.NewDispatcher(pool, store, cluster.Options{
-			Attempts:   *rAttempts,
-			HedgeAfter: *hedgeAfter,
-			Log:        log,
-		})
-		log.Info("coordinating", "workers", addrs, "store", *storeDir)
-	}
-
 	srv := server.New(server.Options{
 		MaxParallel:      *jobs,
 		QueueLimit:       *queueLimit,
@@ -170,8 +81,6 @@ func main() {
 		TraceCacheBytes:  mb(*traceCacheMB),
 		ResultCacheBytes: mb(*resultMB),
 		Log:              log,
-		Role:             role,
-		Remote:           remote,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -179,15 +88,8 @@ func main() {
 		log.Error("listen failed", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	httpHandler := cluster.Chaos(srv.Handler(), cluster.ChaosOptions{
-		DropRate:  *chaosDrop,
-		Slow:      time.Duration(*chaosSlow) * time.Millisecond,
-		KillAfter: *chaosKill,
-		Seed:      *chaosSeed,
-		Log:       log,
-	})
 	hs := &http.Server{
-		Handler:           httpHandler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	log.Info("listening", "addr", ln.Addr().String())

@@ -20,6 +20,12 @@ type Geometry struct {
 	Assoc int
 }
 
+// maxSize caps a cache array's line count, which sizes its allocation, and
+// every latency and queue depth in Params, which size the fill ring and the
+// MSHR occupancy histogram. The Table 1 L2 (512 KiB of 64-byte lines) has
+// 8192 lines.
+const maxSize = 1 << 16
+
 // Validate checks that the geometry is internally consistent.
 func (g Geometry) Validate() error {
 	switch {
@@ -27,9 +33,12 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("cache: line size %d is not a positive power of two", g.LineSize)
 	case g.Assoc <= 0:
 		return fmt.Errorf("cache: associativity %d is not positive", g.Assoc)
-	case g.Size <= 0 || g.Size%(g.LineSize*g.Assoc) != 0:
+	case g.Size <= 0 || g.Size%g.LineSize != 0 || g.Size/g.LineSize%g.Assoc != 0:
 		return fmt.Errorf("cache: size %d is not a multiple of line size %d x assoc %d",
 			g.Size, g.LineSize, g.Assoc)
+	case g.Size/g.LineSize > maxSize:
+		return fmt.Errorf("cache: size %d holds %d lines of %d bytes, over the limit of %d lines",
+			g.Size, g.Size/g.LineSize, g.LineSize, maxSize)
 	}
 	sets := g.Sets()
 	if sets&(sets-1) != 0 {

@@ -66,6 +66,18 @@ func (p Params) Validate() error {
 	if p.L2PerCycle < 0 {
 		return fmt.Errorf("cache: negative L2 bandwidth %d", p.L2PerCycle)
 	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"hit latency", p.HitLat}, {"L2 latency", p.L2Lat}, {"memory latency", p.MemLat},
+		{"MSHR count", p.MSHRs}, {"MSHR target count", p.MaxTargets},
+		{"pending request limit", p.MaxPending}, {"L2 bandwidth", p.L2PerCycle},
+	} {
+		if f.n > maxSize {
+			return fmt.Errorf("cache: %s %d exceeds the limit of %d", f.name, f.n, maxSize)
+		}
+	}
 	return nil
 }
 

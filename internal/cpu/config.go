@@ -73,8 +73,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxSize caps every width, capacity, scan depth and unit count. Each sizes
+// a per-core allocation or a per-cycle loop; the largest the repository runs
+// is Table 1's 1024-entry RUU.
+const maxSize = 4096
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{
+		{"fetch width", c.FetchWidth}, {"issue width", c.IssueWidth}, {"commit width", c.CommitWidth},
+		{"RUU size", c.RUUSize}, {"LSQ size", c.LSQSize}, {"store buffer size", c.StoreBufferSize},
+		{"memory scan depth", c.MemScanDepth},
+	} {
+		if sz.n > maxSize {
+			return fmt.Errorf("cpu: %s %d exceeds the limit of %d", sz.name, sz.n, maxSize)
+		}
+	}
 	switch {
 	case c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1:
 		return fmt.Errorf("cpu: widths must be positive (fetch=%d issue=%d commit=%d)",
@@ -89,8 +106,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: memory scan depth %d is not positive", c.MemScanDepth)
 	}
 	for cl, n := range c.FUCount {
-		if n < 0 {
+		switch {
+		case n < 0:
 			return fmt.Errorf("cpu: negative unit count %d for class %s", n, isa.Class(cl))
+		case n > maxSize:
+			return fmt.Errorf("cpu: unit count %d for class %s exceeds the limit of %d", n, isa.Class(cl), maxSize)
 		}
 	}
 	return nil

@@ -23,29 +23,11 @@ type cellSpec struct {
 	benchmark string
 	pattern   string
 	trace     *lbic.RecordedTrace
-	// rawTrace keeps the uploaded stream's encoded bytes so a coordinator
-	// can forward the cell to a worker without re-encoding.
-	rawTrace []byte
-	port     lbic.PortConfig
-	insts    uint64
-	cpu      *lbic.CPUConfig
-	mem      *lbic.MemParams
-	key      string
-}
-
-// wireRequest reconstructs the lbic-sim-request/v1 document for this cell,
-// for dispatch to a cluster worker over the same API the client used.
-func (sp *cellSpec) wireRequest() client.SimulateRequest {
-	return client.SimulateRequest{
-		Schema:    client.RequestSchema,
-		Benchmark: sp.benchmark,
-		Pattern:   sp.pattern,
-		Trace:     sp.rawTrace,
-		Port:      client.PortOf(sp.port),
-		Insts:     sp.insts,
-		CPU:       sp.cpu,
-		Mem:       sp.mem,
-	}
+	port      lbic.PortConfig
+	insts     uint64
+	cpu       *lbic.CPUConfig
+	mem       *lbic.MemParams
+	key       string
 }
 
 // progToken is the program's name component of the cell key.
@@ -142,7 +124,7 @@ func (s *Server) compileTraceSpec(raw []byte, port client.PortSpec, insts uint64
 	if err != nil {
 		return cellSpec{}, fmt.Errorf("invalid trace upload: %v", err)
 	}
-	sp := cellSpec{trace: rt, rawTrace: raw, insts: insts, cpu: cpu, mem: mem}
+	sp := cellSpec{trace: rt, insts: insts, cpu: cpu, mem: mem}
 	p, err := port.Resolve()
 	if err != nil {
 		return sp, err
@@ -280,26 +262,6 @@ func (s *Server) executeCell(ctx context.Context, sp cellSpec) client.CellResult
 // so the runner's cell span and the simulate span still land in the
 // request's (or job's) tree.
 func (s *Server) simulateCell(ctx context.Context, sp cellSpec) ([]byte, error) {
-	// A coordinator tries the cluster first — the worker owns the compute and
-	// this process never burns a local slot on a remotely-served cell. Any
-	// dispatch error degrades gracefully: the cell falls through to the local
-	// path below, which is authoritative for both results and errors, so a
-	// sweep completes byte-identically whether zero, some, or all workers are
-	// reachable. Dispatch happens inside singleflight leadership, so
-	// concurrent identical cells still collapse to one remote call.
-	if s.opts.Remote != nil {
-		rctx, rspan := tracing.Start(ctx, "remote "+sp.key)
-		b, err := s.opts.Remote.Execute(tracing.Adopt(s.baseCtx, rctx), sp.wireRequest(), sp.key)
-		if err == nil {
-			rspan.End()
-			s.mRemoteCells.Add(1)
-			return b, nil
-		}
-		rspan.SetAttr("fallback", err.Error())
-		rspan.End()
-		s.mLocalFallbacks.Add(1)
-	}
-
 	// The queue span is a leaf measuring the wait for a parallelism slot.
 	_, span := tracing.Start(ctx, "queue "+sp.key)
 	select {

@@ -14,9 +14,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -60,27 +62,6 @@ type Options struct {
 	// Log receives one structured line per HTTP request (request ID, method,
 	// route, status, bytes, duration). Default: discard.
 	Log *slog.Logger
-	// Role names how this process serves: "standalone" (default), "worker",
-	// or "coordinator". Reported on /healthz so heartbeats and operators can
-	// tell who answered.
-	Role string
-	// Remote, when non-nil, makes this server a cluster coordinator: cells
-	// that miss the result cache are offered to the remote executor first
-	// (which shards them onto workers with retry and hedging) and only run
-	// in-process when it reports the cluster unavailable — the graceful
-	// degradation path that keeps a sweep completing with zero reachable
-	// workers.
-	Remote RemoteExecutor
-}
-
-// RemoteExecutor is the cluster dispatch contract (implemented by
-// internal/cluster.Dispatcher; an interface here so the server does not
-// depend on the cluster machinery). Execute returns the cell's report
-// bytes, or an error meaning "the cluster could not serve this cell — run
-// it locally". Status feeds GET /v1/cluster.
-type RemoteExecutor interface {
-	Execute(ctx context.Context, req client.SimulateRequest, key string) ([]byte, error)
-	Status() client.ClusterStatus
 }
 
 func (o Options) withDefaults() Options {
@@ -103,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 64
-	}
-	if o.Role == "" {
-		o.Role = "standalone"
 	}
 	return o
 }
@@ -157,8 +135,6 @@ type Server struct {
 	mCellFailures     atomic.Uint64
 
 	mSingleflightShared atomic.Uint64
-	mRemoteCells        atomic.Uint64
-	mLocalFallbacks     atomic.Uint64
 
 	// avgCellNS is an EWMA of executed-cell wall time, feeding the computed
 	// Retry-After on 429/503 (backlog depth × average cell time / slots).
@@ -217,7 +193,6 @@ func (s *Server) Handler() http.Handler {
 		{"GET /v1/jobs/{id}", s.handleJob},
 		{"GET /v1/jobs/{id}/stream", s.handleJobStream},
 		{"GET /v1/jobs/{id}/trace", s.handleJobTrace},
-		{"GET /v1/cluster", s.handleCluster},
 		{"GET /healthz", s.handleHealthz},
 		{"GET /metrics", s.handleMetrics},
 	}
@@ -653,9 +628,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	// already consumed — no cell is ever double-counted across a dropped
 	// connection.
 	if sse {
-		if last, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil && last >= 0 {
-			i = last + 1
-		}
+		i = resumeIndex(r.Header.Get("Last-Event-ID"))
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -693,18 +666,27 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// resumeIndex maps an SSE Last-Event-ID to the stream index after it. Any
+// id at or past the job's last event resumes past the end, including ids
+// too large for an int, so a finished job's stream ends cleanly; a missing
+// or malformed id replays from the start.
+func resumeIndex(lastID string) int {
+	last, err := strconv.ParseUint(lastID, 10, 64)
+	switch {
+	case err != nil && !errors.Is(err, strconv.ErrRange):
+		return 0
+	case last >= math.MaxInt:
+		return math.MaxInt
+	}
+	return int(last) + 1
+}
+
 // buildHealth assembles the health body: status plus the binary's build
 // identity, so "which lbicd answered?" is one curl away.
 func (s *Server) buildHealth(status string) client.Health {
-	s.admitMu.Lock()
-	queued := s.queued
-	s.admitMu.Unlock()
 	h := client.Health{
 		Status:        status,
-		Role:          s.opts.Role,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		MaxParallel:   s.opts.MaxParallel,
-		QueuedCells:   queued,
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		h.GoVersion = bi.GoVersion
@@ -717,18 +699,6 @@ func (s *Server) buildHealth(status string) client.Health {
 		}
 	}
 	return h
-}
-
-// handleCluster serves the coordinator's membership and dispatch view. On a
-// worker or standalone server (no remote executor) it is a 404: there is no
-// cluster to describe.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Add(1)
-	if s.opts.Remote == nil {
-		s.writeError(w, http.StatusNotFound, "not a coordinator (no cluster configured)")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.opts.Remote.Status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -779,10 +749,6 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 	add("server.cells_executed", "simulation cells actually run (not served from a cache or shared flight)", s.mCellsExecuted.Load())
 	add("server.cell_failures", "executed cells that failed", s.mCellFailures.Load())
 	add("server.singleflight_shared", "requests served by waiting on an identical in-flight cell", s.mSingleflightShared.Load())
-	if s.opts.Remote != nil {
-		add("server.remote_cells", "cells served by the worker cluster", s.mRemoteCells.Load())
-		add("server.local_fallbacks", "cells run in-process because the cluster was unavailable", s.mLocalFallbacks.Load())
-	}
 	s.admitMu.Lock()
 	queued := s.queued
 	s.admitMu.Unlock()

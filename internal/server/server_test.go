@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,20 +161,26 @@ func TestSimulateValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		req  client.SimulateRequest
+		// want, when set, must appear in the error message.
+		want string
 	}{
-		{"no program", client.SimulateRequest{Port: client.Port("true-1"), Insts: 1000}},
-		{"both programs", client.SimulateRequest{Benchmark: "compress", Pattern: "unit-stride", Port: client.Port("true-1"), Insts: 1000}},
-		{"unknown benchmark", client.SimulateRequest{Benchmark: "doom", Port: client.Port("true-1"), Insts: 1000}},
-		{"zero insts", client.SimulateRequest{Benchmark: "compress", Port: client.Port("true-1")}},
-		{"bad port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("warp-9"), Insts: 1000}},
-		{"invalid port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("bank-3"), Insts: 1000}},
-		{"bad schema", client.SimulateRequest{Schema: "lbic-sim-request/v99", Benchmark: "compress", Port: client.Port("true-1"), Insts: 1000}},
+		{"no program", client.SimulateRequest{Port: client.Port("true-1"), Insts: 1000}, ""},
+		{"both programs", client.SimulateRequest{Benchmark: "compress", Pattern: "unit-stride", Port: client.Port("true-1"), Insts: 1000}, ""},
+		{"unknown benchmark", client.SimulateRequest{Benchmark: "doom", Port: client.Port("true-1"), Insts: 1000}, ""},
+		{"zero insts", client.SimulateRequest{Benchmark: "compress", Port: client.Port("true-1")}, ""},
+		{"bad port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("warp-9"), Insts: 1000}, ""},
+		{"invalid port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("bank-3"), Insts: 1000}, ""},
+		{"bad schema", client.SimulateRequest{Schema: "lbic-sim-request/v99", Benchmark: "compress", Port: client.Port("true-1"), Insts: 1000}, ""},
+		{"oversized port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("bank-8388608"), Insts: 1000},
+			"bank count 8388608 exceeds the limit of 1024"},
 	}
 	for _, tc := range cases {
 		_, err := c.Simulate(ctx, tc.req)
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: err = %v, want HTTP 400", tc.name, err)
+		} else if !strings.Contains(apiErr.Message, tc.want) {
+			t.Errorf("%s: error %q, want it to name %q", tc.name, apiErr.Message, tc.want)
 		}
 	}
 	// Unknown fields are rejected too (strict schema).
@@ -476,6 +484,169 @@ func TestMetricsTextExport(t *testing.T) {
 	for _, want := range []string{"server.requests", "tracecache.records", "resultcache.hits"} {
 		if !bytes.Contains(body2, []byte(want)) {
 			t.Errorf("text metrics missing %q:\n%s", want, body2)
+		}
+	}
+}
+
+func TestRetryAfterGrowsWithQueueDepth(t *testing.T) {
+	// The backlog estimate before any cell settles assumes 1s/cell, so with
+	// MaxParallel 1 a rejected request should be told to come back in about
+	// queue-depth seconds. Big per-cell budgets keep the sweep's cells
+	// unfinished while the rejections are provoked.
+	retryAfter := func(depth int) int {
+		t.Helper()
+		// TraceCacheBytes -1 keeps the heavy cells on the emulator-driven
+		// path, which honors cancellation: Close must not leave a 50M-inst
+		// trace recording burning CPU under the rest of the suite.
+		_, c := newTestServer(t, server.Options{MaxParallel: 1, QueueLimit: depth, TraceCacheBytes: -1})
+		ctx := context.Background()
+		// One sweep of depth distinct heavy cells fills the queue exactly
+		// (identical cells would collapse into one unit of work).
+		if _, err := c.Sweep(ctx, client.SweepRequest{
+			Benchmarks: lbic.BenchmarkNames()[:depth],
+			Ports:      []client.PortSpec{client.Port("true-1")},
+			Insts:      50_000_000,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(c.BaseURL+"/v1/simulate", "application/json",
+			bytes.NewReader([]byte(`{"schema":"lbic-sim-request/v1","benchmark":"compress","port":"true-1","insts":1000}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status = %d, want 429", resp.StatusCode)
+		}
+		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil {
+			t.Fatalf("Retry-After %q not an integer: %v", resp.Header.Get("Retry-After"), err)
+		}
+		return ra
+	}
+	shallow := retryAfter(2)
+	deep := retryAfter(8)
+	if deep <= shallow {
+		t.Errorf("Retry-After did not grow with queue depth: depth 2 -> %ds, depth 8 -> %ds", shallow, deep)
+	}
+	if shallow < 1 || deep > 120 {
+		t.Errorf("Retry-After outside [1, 120]: %d, %d", shallow, deep)
+	}
+}
+
+func TestRetryAfterDrainingFloor(t *testing.T) {
+	srv, c := newTestServer(t, server.Options{})
+	srv.BeginDrain()
+	resp, err := http.Post(c.BaseURL+"/v1/simulate", "application/json",
+		bytes.NewReader([]byte(`{"schema":"lbic-sim-request/v1","benchmark":"compress","port":"true-1","insts":1000}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 while draining", resp.StatusCode)
+	}
+	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra < 5 {
+		t.Errorf("draining Retry-After = %d, want the 5s rolling-restart floor", ra)
+	}
+}
+
+func TestDrainUnderLoadCompletesInFlightSweep(t *testing.T) {
+	srv, c := newTestServer(t, server.Options{MaxParallel: 2})
+	ctx := context.Background()
+	st, err := c.Sweep(ctx, client.SweepRequest{
+		Benchmarks: []string{"compress", "li"},
+		Ports:      []client.PortSpec{client.Port("true-1"), client.Port("bank-4")},
+		Insts:      testInsts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Race the drain against the running job: admission must close
+	// immediately, while the accepted job keeps its right to finish.
+	srv.BeginDrain()
+	if _, err := c.Sweep(ctx, client.SweepRequest{
+		Benchmarks: []string{"compress"}, Ports: []client.PortSpec{client.Port("true-1")}, Insts: testInsts,
+	}); err == nil {
+		t.Error("sweep accepted while draining")
+	}
+
+	dctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatalf("drain did not settle the in-flight sweep: %v", err)
+	}
+	final, err := c.Job(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "done" || final.Done != final.Total || final.Failed != 0 {
+		t.Errorf("after drain job = %+v, want all %d cells done", final, final.Total)
+	}
+}
+
+func TestJobStreamSSEResume(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	ctx := context.Background()
+	st, err := c.Sweep(ctx, client.SweepRequest{
+		Benchmarks: []string{"compress", "li"},
+		Ports:      []client.PortSpec{client.Port("true-1")},
+		Insts:      testInsts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	// 2 cells + done = ids 0, 1, 2. A resume from id 0 must replay only the
+	// unseen suffix — no double-counting on reconnect.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+st.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	req.Header.Set("Last-Event-ID", "0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte("id: 0\n")) {
+		t.Errorf("resumed stream replayed the consumed prefix:\n%s", body)
+	}
+	if !bytes.Contains(body, []byte("id: 1\n")) || !bytes.Contains(body, []byte("id: 2\n")) {
+		t.Errorf("resumed stream missing the unseen suffix:\n%s", body)
+	}
+	// An id one past done, or the largest the header can carry, resumes
+	// past the end: the finished job's stream ends cleanly with no events.
+	for _, last := range []string{"3", "9223372036854775807"} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+st.ID+"/stream", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "text/event-stream")
+		req.Header.Set("Last-Event-ID", last)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 0 {
+			t.Errorf("Last-Event-ID %s: status %d, body %q, read error %v; want an empty stream that ends cleanly",
+				last, resp.StatusCode, body, err)
 		}
 	}
 }

@@ -365,6 +365,9 @@ func buildArbiter(p PortConfig, lineSize int) (ports.Arbiter, error) {
 	if !ok {
 		return nil, fmt.Errorf("lbic: unknown port kind %d", p.Kind)
 	}
+	if err := p.checkSize(o); err != nil {
+		return nil, err
+	}
 	return o.build(p, lineSize)
 }
 

@@ -92,6 +92,13 @@ func ParsePortName(name string) (PortConfig, error) {
 // powerOfTwo reports whether n is a positive power of two.
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// maxPortSize caps every dimension of a port organization and its peak
+// width. Both size allocations (per-bank arbiter state, the core's grant
+// histogram, the report's buckets), so without a cap one port name could
+// claim memory in proportion to its digits. The repository runs at most 64
+// banks.
+const maxPortSize = 1024
+
 // Validate checks the configuration's parameters against its kind's
 // structural rules (registry-derived), mirroring what the arbiter
 // constructors enforce at build time so a bad config fails fast at the
@@ -104,7 +111,30 @@ func (p PortConfig) Validate() error {
 	if !ok {
 		return fmt.Errorf("lbic: unknown port kind %d", int(p.Kind))
 	}
+	if err := p.checkSize(o); err != nil {
+		return err
+	}
 	return o.validate(p)
+}
+
+// checkSize enforces maxPortSize on every dimension and on the peak width.
+// Validate and the arbiter build both apply it.
+func (p PortConfig) checkSize(o *portOrg) error {
+	for _, dim := range []struct {
+		name string
+		n    int
+	}{
+		{"width", p.Width}, {"bank count", p.Banks}, {"line ports", p.LinePorts},
+		{"parity bank count", p.ParityBanks}, {"store queue depth", p.StoreQueueDepth},
+	} {
+		if dim.n > maxPortSize {
+			return fmt.Errorf("lbic: port %s %d exceeds the limit of %d", dim.name, dim.n, maxPortSize)
+		}
+	}
+	if peak := o.peak(p); peak > maxPortSize {
+		return fmt.Errorf("lbic: %s peak width %d exceeds the limit of %d", p.Kind, peak, maxPortSize)
+	}
+	return nil
 }
 
 // Validate checks the full simulation configuration: the port organization
