@@ -136,6 +136,7 @@ fuzz:
 	$(GO) test ./internal/oracle/ -fuzz FuzzCombining -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzStoreQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracecache/ -fuzz FuzzTraceStreamDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)
 
 reproduce:
 	./scripts/reproduce.sh

@@ -259,6 +259,8 @@ func main() {
 	if res.LBIC != nil {
 		fmt.Printf("lbic: leading=%d combined=%d line-conflicts=%d drains=%d\n",
 			res.LBIC.Leading, res.LBIC.Combined, res.LBIC.LineConflicts, res.LBIC.StoreDrains)
+		fmt.Printf("lbic: port-saturation=%d store-queue-stalls=%d direct-stores=%d greedy-overrides=%d\n",
+			res.LBIC.PortSaturation, res.LBIC.StoreQueueStalls, res.LBIC.DirectStores, res.LBIC.GreedyOverrides)
 	}
 	if res.Verify != nil {
 		fmt.Printf("verify:      ok (%d grants, %d load values, %d forwards, %d stores checked over %d cycles)\n",

@@ -37,25 +37,41 @@ func (c *grantCapture) Quiescent() bool {
 // state, short enough that eight kinds' ready sets stay a few MiB.
 const grantInsts = 20_000
 
-// BenchmarkGrant prices one Arbiter.Grant call for every registered port
-// kind, on the representative configuration the kind's registry entry
-// offers (its first axis entry, else its first sample). The ready sets are
-// those a real compress run presented, captured through CustomPort and
-// replayed in order, cycling, into one fresh arbiter; grants must not
-// allocate.
+// grantLegs lists BenchmarkGrant's configurations: per registered wire
+// kind, the representative configuration its registry entry offers (its
+// first axis entry, else its first sample), plus an "lbic-greedy" leg on the
+// LBIC's greedy sample, so the §5.2 line-choice pass has its own price.
+func grantLegs() (names []string, cfgs []PortConfig) {
+	for _, k := range portOrgOrder {
+		o := portOrgs[k]
+		if !o.wire {
+			continue
+		}
+		all := append(append([]PortConfig(nil), o.axis...), o.samples...)
+		names, cfgs = append(names, o.token), append(cfgs, all[0])
+		for _, p := range all {
+			if p.Greedy {
+				names, cfgs = append(names, o.token+"-greedy"), append(cfgs, p)
+				break
+			}
+		}
+	}
+	return names, cfgs
+}
+
+// BenchmarkGrant prices one Arbiter.Grant call for every leg of grantLegs.
+// The ready sets are those a real compress run presented, captured through
+// CustomPort and replayed in order, cycling, into one fresh arbiter; grants
+// must not allocate.
 func BenchmarkGrant(b *testing.B) {
 	prog, err := BuildBenchmark("compress")
 	if err != nil {
 		b.Fatal(err)
 	}
 	lineSize := cache.DefaultParams().L1.LineSize
-	for _, k := range portOrgOrder {
-		o := portOrgs[k]
-		if !o.wire {
-			continue
-		}
-		cfg := append(append([]PortConfig(nil), o.axis...), o.samples...)[0]
-		b.Run(o.token, func(b *testing.B) {
+	names, cfgs := grantLegs()
+	for li, cfg := range cfgs {
+		b.Run(names[li], func(b *testing.B) {
 			capt := &grantCapture{}
 			port := CustomPort("capture-"+cfg.Key(), func(lineSize int) (Arbiter, error) {
 				arb, err := buildArbiter(cfg, lineSize)

@@ -35,7 +35,7 @@ const (
 	// the enhancement §5.2 proposes ("larger access groups can be given
 	// priority over smaller groups... the smaller groups may grow larger by
 	// the time they are selected"). To bound the starvation this invites,
-	// every greedyRotate-th cycle reverts to the leading request.
+	// every GreedyRotate-th cycle reverts to the leading request.
 	PolicyGreedy
 )
 
@@ -51,9 +51,9 @@ func (p Policy) String() string {
 	}
 }
 
-// greedyRotate is the anti-starvation period of PolicyGreedy: one cycle in
-// this many uses the leading request regardless of group sizes.
-const greedyRotate = 8
+// GreedyRotate is the anti-starvation period of PolicyGreedy: the cycles
+// divisible by it use the leading request regardless of group sizes.
+const GreedyRotate = 8
 
 // Config describes an MxN LBIC.
 type Config struct {
@@ -118,6 +118,9 @@ type LBIC struct {
 	chosen    []uint64
 	chosenSet []bool
 	greedyN   []int
+	// groups is PolicyGreedy's per-cycle grouping of the ready list by
+	// (bank, line).
+	groups lineGroups
 
 	stats Stats
 
@@ -247,27 +250,16 @@ func (a *LBIC) conflict(now uint64, r *ports.Request, b int, counter *uint64, ca
 // chooseGreedy implements PolicyGreedy's selection pass: per bank, the line
 // with the most combinable ready requests (group sizes cap at LinePorts, so
 // excess beyond the buffer's ports confers no priority); ties keep the
-// oldest request's line.
+// oldest request's line. One pass groups the ready list by (bank, line) in
+// order of first appearance, and a second visits the groups in that order.
 func (a *LBIC) chooseGreedy(ready []ports.Request) {
+	g := &a.groups
+	g.reset(len(ready))
 	for i := range ready {
-		b := a.sel.BankOf(ready[i].Addr)
-		line := a.sel.LineOf(ready[i].Addr)
-		first := true
-		for j := 0; j < i; j++ {
-			if a.sel.BankOf(ready[j].Addr) == b && a.sel.LineOf(ready[j].Addr) == line {
-				first = false
-				break
-			}
-		}
-		if !first {
-			continue
-		}
-		n := 1
-		for j := i + 1; j < len(ready) && n < a.cfg.LinePorts; j++ {
-			if a.sel.BankOf(ready[j].Addr) == b && a.sel.LineOf(ready[j].Addr) == line {
-				n++
-			}
-		}
+		g.add(a.sel.BankOf(ready[i].Addr), a.sel.LineOf(ready[i].Addr), a.cfg.LinePorts)
+	}
+	for _, grp := range g.groups {
+		b, line, n := int(grp.bank), grp.line, int(grp.size)
 		switch {
 		case !a.chosenSet[b]:
 			a.chosen[b], a.chosenSet[b], a.greedyN[b] = line, true, n
@@ -276,6 +268,65 @@ func (a *LBIC) chooseGreedy(ready []ports.Request) {
 			a.stats.GreedyOverrides++
 		}
 	}
+}
+
+// lineGroups groups one cycle's ready requests by (bank, line), in order of
+// first appearance, with each group's size capped. An open-addressed table
+// maps a key to its group; its slots are stamped with the cycle's generation
+// so a reset does not clear them. The table holds at least twice as many
+// slots as requests, so probes stay short at any scan depth; it grows, and
+// only then allocates, when a longer ready list arrives.
+type lineGroups struct {
+	groups []lineGroup
+	slots  []groupSlot
+	gen    uint32
+	shift  uint // 64 - log2(len(slots))
+}
+
+// lineGroup is one (bank, line) group and its capped size.
+type lineGroup struct {
+	line       uint64
+	bank, size int32
+}
+
+// groupSlot is one table slot: the generation that filled it and the index
+// of its group.
+type groupSlot struct {
+	gen   uint32
+	group int32
+}
+
+// reset empties the groups for a ready list of n requests.
+func (g *lineGroups) reset(n int) {
+	g.groups = g.groups[:0]
+	if 2*n > len(g.slots) {
+		size, bits := 16, uint(4)
+		for size < 2*n {
+			size, bits = 2*size, bits+1
+		}
+		g.slots, g.gen, g.shift = make([]groupSlot, size), 0, 64-bits
+	}
+	if g.gen++; g.gen == 0 {
+		clear(g.slots)
+		g.gen = 1
+	}
+}
+
+// add counts one request to (bank, line), opening a group on its first
+// appearance; sizes stop at limit.
+func (g *lineGroups) add(bank int, line uint64, limit int) {
+	mask := len(g.slots) - 1
+	h := int(((line ^ uint64(bank)<<58) * 0x9e3779b97f4a7c15) >> g.shift)
+	for ; g.slots[h].gen == g.gen; h = (h + 1) & mask {
+		if grp := &g.groups[g.slots[h].group]; grp.line == line && grp.bank == int32(bank) {
+			if grp.size < int32(limit) {
+				grp.size++
+			}
+			return
+		}
+	}
+	g.slots[h] = groupSlot{gen: g.gen, group: int32(len(g.groups))}
+	g.groups = append(g.groups, lineGroup{line: line, bank: int32(bank), size: 1})
 }
 
 // enqueueStore records a granted store's line in bank b's queue; a store to
@@ -305,7 +356,7 @@ func (a *LBIC) Grant(now uint64, ready []ports.Request, dst []int) []int {
 		a.count[b] = 0
 		a.chosenSet[b] = false
 	}
-	if a.cfg.Policy == PolicyGreedy && now%greedyRotate != 0 {
+	if a.cfg.Policy == PolicyGreedy && now%GreedyRotate != 0 {
 		a.chooseGreedy(ready)
 	}
 	for i := range ready {

@@ -32,8 +32,8 @@ type Config struct {
 	// cache; a full buffer stalls commit.
 	StoreBufferSize int
 	// FUCount gives the number of functional units per class; zero entries
-	// for compute classes default to Table 1's 64. Latencies are fixed by
-	// isa.LatencyOf.
+	// default to Table 1's 64 (New applies the default). Latencies are fixed
+	// by isa.LatencyOf.
 	FUCount [isa.NumClasses]int
 	// MemScanDepth bounds how many ready memory requests are presented to
 	// the port arbiter per cycle (the LSQ scheduling window).
@@ -59,7 +59,7 @@ type Config struct {
 func DefaultConfig() Config {
 	var fu [isa.NumClasses]int
 	for c := range fu {
-		fu[c] = 64
+		fu[c] = defaultFUCount
 	}
 	return Config{
 		FetchWidth:      64,
@@ -72,6 +72,9 @@ func DefaultConfig() Config {
 		MemScanDepth:    64,
 	}
 }
+
+// defaultFUCount is Table 1's number of units of every functional class.
+const defaultFUCount = 64
 
 // maxSize caps every width, capacity, scan depth and unit count. Each sizes
 // a per-core allocation or a per-cycle loop; the largest the repository runs

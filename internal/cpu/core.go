@@ -266,6 +266,11 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		lineShift: uint(hier.Params().L1.LineBits()),
 	}
 	c.orderedMin = math.MaxUint64
+	for cl, n := range c.cfg.FUCount {
+		if n == 0 {
+			c.cfg.FUCount[cl] = defaultFUCount
+		}
+	}
 	switch {
 	case cfg.WatchdogCycles == 0:
 		c.watchdog = DefaultWatchdogCycles

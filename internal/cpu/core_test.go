@@ -385,6 +385,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A zero unit count takes Table 1's 64: a configuration that leaves FUCount
+// unset runs exactly like the default one instead of never issuing.
+func TestZeroFUCountDefaults(t *testing.T) {
+	dyns := []trace.Dyn{
+		load(r(1), r(2), 0x10000),
+		alu(r(3), r(1), r(1)),
+		store(r(3), r(2), 0x10008),
+		alu(r(4), r(3), r(1)),
+	}
+	want := runStream(t, dyns, ideal(t, 2), nil)
+	got := runStream(t, dyns, ideal(t, 2), func(c *Config) { c.FUCount = [isa.NumClasses]int{} })
+	if got != want {
+		t.Errorf("zero unit counts: %+v\nwant the default pool's %+v", got, want)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	dyns := []trace.Dyn{
 		load(r(1), r(2), 0x10000),

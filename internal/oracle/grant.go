@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"lbic/internal/core"
 	"lbic/internal/ports"
@@ -13,8 +14,9 @@ import (
 // multi-ported banks) it recomputes the exact expected set; for the
 // queue-backed designs (LBIC, banked+store-queue) it asserts the structural
 // rules the hardware imposes — per-bank port limits, same-line combining,
-// the oldest ready request per bank always winning. Unknown (custom)
-// arbiters get only the generic contract checks.
+// the oldest ready request per bank always winning, and for the greedy
+// LBIC the largest same-line group per bank. Unknown (custom) arbiters get
+// only the generic contract checks.
 type GrantValidator struct {
 	arb  ports.Arbiter
 	peak int
@@ -27,6 +29,18 @@ type GrantValidator struct {
 	lines []uint64
 	// expect is the recomputed grant set for deterministic arbiters.
 	expect []int
+	// groups is the greedy LBIC reference's same-line groups, in order of
+	// first appearance.
+	groups []lineGroup
+}
+
+// lineGroup is one (bank, line) group of a ready list: the index of its
+// first request and its size.
+type lineGroup struct {
+	bank  int
+	line  uint64
+	first int
+	size  int
 }
 
 // NewGrantValidator returns a validator for arb.
@@ -194,8 +208,10 @@ func (v *GrantValidator) validateBankedSQ(now uint64, a *ports.BankedSQ, ready [
 }
 
 // validateLBIC checks the LBIC's combining rules: every bank's grants touch
-// one line, at most LinePorts of them, and (under the leading policy) the
-// oldest ready request per bank is granted. Store queues stay within depth.
+// one line, at most LinePorts of them, and each bank opens the line its
+// policy selects. Under the leading policy, and on the greedy policy's
+// rotation cycles, that is the oldest ready request's; otherwise it is the
+// greedy choice (see greedyOpened). Store queues stay within depth.
 func (v *GrantValidator) validateLBIC(now uint64, a *core.LBIC, ready []ports.Request, granted []int) error {
 	cfg := a.Config()
 	sel := a.Selector()
@@ -223,8 +239,52 @@ func (v *GrantValidator) validateLBIC(now uint64, a *core.LBIC, ready []ports.Re
 				now, v.arb.Name(), b, q, cfg.StoreQueueDepth)
 		}
 	}
-	if cfg.Policy == core.PolicyLeading {
-		return v.oldestPerBankGranted(now, sel, ready, granted)
+	if cfg.Policy == core.PolicyGreedy && now%core.GreedyRotate != 0 {
+		return v.greedyOpened(now, a, ready, granted)
+	}
+	return v.oldestPerBankGranted(now, sel, ready, granted)
+}
+
+// greedyOpened is the reference for the greedy policy's line choice on a
+// non-rotation cycle: each bank opens the first, in order of appearance, of
+// its largest same-line groups, with sizes capped at LinePorts. It asserts
+// that the first request of that group was granted. The groups are found by
+// a linear search over those seen so far, independent of the arbiter's own
+// grouping.
+func (v *GrantValidator) greedyOpened(now uint64, a *core.LBIC, ready []ports.Request, granted []int) error {
+	cfg := a.Config()
+	sel := a.Selector()
+	v.groups = v.groups[:0]
+	for i := range ready {
+		b, line := sel.BankOf(ready[i].Addr), sel.LineOf(ready[i].Addr)
+		k := 0
+		for k < len(v.groups) && (v.groups[k].bank != b || v.groups[k].line != line) {
+			k++
+		}
+		if k == len(v.groups) {
+			v.groups = append(v.groups, lineGroup{bank: b, line: line, first: i})
+		}
+		if v.groups[k].size < cfg.LinePorts {
+			v.groups[k].size++
+		}
+	}
+	for i := range v.mark {
+		v.mark[i] = -1
+	}
+	for k, g := range v.groups {
+		if best := v.mark[g.bank]; best < 0 || g.size > v.groups[best].size {
+			v.mark[g.bank] = k
+		}
+	}
+	for b, k := range v.mark {
+		if k < 0 {
+			continue
+		}
+		want := v.groups[k]
+		if !slices.Contains(granted, want.first) {
+			return fmt.Errorf("cycle %d: %s did not open line %d in bank %d with seq %d; it is the first of the bank's largest same-line groups (%d requests, capped at %d)",
+				now, v.arb.Name(), want.line, b, ready[want.first].Seq, want.size, cfg.LinePorts)
+		}
 	}
 	return nil
 }
@@ -318,7 +378,8 @@ func (v *GrantValidator) validateCoded(now uint64, a *ports.Coded, ready []ports
 
 // oldestPerBankGranted asserts that for every bank with at least one ready
 // request, the oldest such request was granted — the no-starvation property
-// shared by every bank-organized design here except the greedy LBIC.
+// shared by every bank-organized design here except the greedy LBIC off its
+// rotation cycles.
 func (v *GrantValidator) oldestPerBankGranted(now uint64, sel ports.BankSelector, ready []ports.Request, granted []int) error {
 	g := 0
 	for i := range v.seen {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -354,6 +355,76 @@ func TestGrantValidator(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.frag)
 			}
 		})
+	}
+}
+
+// TestGrantValidatorGreedyChoice feeds the validator of a greedy LBIC the
+// grants of an impostor: a leading-policy LBIC of the same shape, which
+// opens the bank's oldest request even when a younger line has the larger
+// group. Off the rotation cycles that must be rejected, and the real greedy
+// arbiter's grants accepted; on a rotation cycle the oldest request wins, so
+// the impostor's choice is the legal one.
+func TestGrantValidatorGreedyChoice(t *testing.T) {
+	shape := core.Config{Banks: 2, LinePorts: 2, LineSize: 32}
+	build := func(p core.Policy) *core.LBIC {
+		cfg := shape
+		cfg.Policy = p
+		a, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	ready := []ports.Request{
+		{Seq: 1, Addr: 0x000}, // bank 0, line 0: alone
+		{Seq: 2, Addr: 0x040}, // bank 0, line 2
+		{Seq: 3, Addr: 0x048}, // bank 0, line 2: a group of two
+		{Seq: 4, Addr: 0x020}, // bank 1, line 1
+	}
+	for _, now := range []uint64{1, core.GreedyRotate - 1, core.GreedyRotate, 3 * core.GreedyRotate} {
+		rotation := now%core.GreedyRotate == 0
+		v := NewGrantValidator(build(core.PolicyGreedy))
+		impostor := build(core.PolicyLeading).Grant(now, ready, nil)
+		err := v.Validate(now, ready, impostor)
+		switch {
+		case rotation && err != nil:
+			t.Errorf("cycle %d (rotation): oldest-request grants %v rejected: %v", now, impostor, err)
+		case !rotation && err == nil:
+			t.Errorf("cycle %d: grants %v open the smaller group but were accepted", now, impostor)
+		case !rotation && !strings.Contains(err.Error(), "largest same-line groups"):
+			t.Errorf("cycle %d: error %q does not name the greedy rule", now, err)
+		}
+		greedy := build(core.PolicyGreedy)
+		if got := greedy.Grant(now, ready, nil); !rotation {
+			if err := v.Validate(now, ready, got); err != nil {
+				t.Errorf("cycle %d: the greedy arbiter's grants %v rejected: %v", now, got, err)
+			}
+		}
+	}
+}
+
+// TestGreedyChoiceFullScanDepth drives the greedy LBIC with ready lists up
+// to the 4096-request scan-depth cap, which its grouping table must grow to
+// hold, and checks every non-rotation cycle's choice against the reference.
+func TestGreedyChoiceFullScanDepth(t *testing.T) {
+	a, err := core.New(core.Config{Banks: 2, LinePorts: 4, LineSize: 32, Policy: core.PolicyGreedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewGrantValidator(a)
+	rng := rand.New(rand.NewSource(1))
+	var dst []int
+	for now, n := range []int{1, 64, 65, 1000, 4096, 3} {
+		ready := make([]ports.Request, n)
+		for i := range ready {
+			// 64 lines over two banks, so groups of every size form.
+			ready[i] = ports.Request{Seq: uint64(i + 1), Addr: uint64(rng.Intn(64))*32 + uint64(rng.Intn(4))*8}
+		}
+		cycle := uint64(now + 1)
+		dst = a.Grant(cycle, ready, dst[:0])
+		if err := v.Validate(cycle, ready, dst); err != nil {
+			t.Fatalf("%d ready requests: %v", n, err)
+		}
 	}
 }
 

@@ -179,6 +179,26 @@ func (s *Server) program(sp *cellSpec) (*lbic.Program, error) {
 	return p, nil
 }
 
+// cellRun returns the source and configuration that simulate sp.
+func (s *Server) cellRun(sp *cellSpec) (lbic.Source, lbic.Config, error) {
+	cfg := lbic.DefaultConfig()
+	cfg.Port = sp.port
+	cfg.MaxInsts = sp.insts
+	cfg.CPU = sp.cpu
+	cfg.Mem = sp.mem
+	// An uploaded trace is already a recording; the shared trace cache has
+	// nothing to add.
+	if sp.trace != nil {
+		return lbic.TraceSource(sp.trace), cfg, nil
+	}
+	prog, err := s.program(sp)
+	if err != nil {
+		return lbic.Source{}, cfg, err
+	}
+	cfg.Trace = s.traces
+	return lbic.ProgramSource(prog), cfg, nil
+}
+
 // flight is one in-progress cell execution; concurrent requests for the
 // same key wait on done instead of running their own copy.
 type flight struct {
@@ -274,21 +294,9 @@ func (s *Server) simulateCell(ctx context.Context, sp cellSpec) ([]byte, error) 
 	defer func() { <-s.sem }()
 
 	cell := runner.Cell[[]byte]{Key: sp.key, Run: func(ctx context.Context) ([]byte, error) {
-		cfg := lbic.DefaultConfig()
-		cfg.Port = sp.port
-		cfg.MaxInsts = sp.insts
-		cfg.CPU = sp.cpu
-		cfg.Mem = sp.mem
-		// An uploaded trace is already a recording; the shared trace cache
-		// has nothing to add.
-		src := lbic.TraceSource(sp.trace)
-		if sp.trace == nil {
-			prog, err := s.program(&sp)
-			if err != nil {
-				return nil, err
-			}
-			src = lbic.ProgramSource(prog)
-			cfg.Trace = s.traces
+		src, cfg, err := s.cellRun(&sp)
+		if err != nil {
+			return nil, err
 		}
 		res, err := lbic.Simulate(ctx, src, cfg)
 		if err != nil {

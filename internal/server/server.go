@@ -437,29 +437,28 @@ func decodeRequest(r *http.Request, v any, schema *string, limit int64) error {
 	return nil
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Add(1)
-	s.mSimRequests.Add(1)
+// simulateSpec decodes and validates one /v1/simulate body: everything the
+// endpoint does before admission.
+func (s *Server) simulateSpec(r *http.Request) (cellSpec, error) {
 	var req client.SimulateRequest
 	// Trace uploads ride inside the JSON body, so /v1/simulate accepts a
 	// larger request than the name-only endpoints.
 	if err := decodeRequest(r, &req, &req.Schema, 8<<20); err != nil {
-		s.mBadRequests.Add(1)
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return cellSpec{}, err
 	}
-	var sp cellSpec
-	var err error
 	if len(req.Trace) > 0 {
 		if req.Benchmark != "" || req.Pattern != "" {
-			s.mBadRequests.Add(1)
-			s.writeError(w, http.StatusBadRequest, "trace is mutually exclusive with benchmark and pattern")
-			return
+			return cellSpec{}, errors.New("trace is mutually exclusive with benchmark and pattern")
 		}
-		sp, err = s.compileTraceSpec(req.Trace, req.Port, req.Insts, req.CPU, req.Mem)
-	} else {
-		sp, err = s.compileSpec(req.Benchmark, req.Pattern, req.Port, req.Insts, req.CPU, req.Mem)
+		return s.compileTraceSpec(req.Trace, req.Port, req.Insts, req.CPU, req.Mem)
 	}
+	return s.compileSpec(req.Benchmark, req.Pattern, req.Port, req.Insts, req.CPU, req.Mem)
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	s.mRequests.Add(1)
+	s.mSimRequests.Add(1)
+	sp, err := s.simulateSpec(r)
 	if err != nil {
 		s.mBadRequests.Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error())

@@ -168,9 +168,9 @@ func TestTraceSimulationCarriesMetrics(t *testing.T) {
 	}
 }
 
-// collectEvents runs a short deterministic pattern and returns its event
-// trace as JSONL.
-func collectEvents(t *testing.T) []byte {
+// collectEvents runs a short deterministic pattern on port and returns its
+// event trace as JSONL.
+func collectEvents(t *testing.T, port PortConfig) []byte {
 	t.Helper()
 	prog, err := BuildPattern("same-line-burst")
 	if err != nil {
@@ -178,7 +178,7 @@ func collectEvents(t *testing.T) []byte {
 	}
 	var buf bytes.Buffer
 	cfg := DefaultConfig()
-	cfg.Port = LBICPort(2, 2)
+	cfg.Port = port
 	cfg.MaxInsts = 120
 	sink := NewJSONLEventSink(&buf)
 	cfg.Events = sink
@@ -191,9 +191,20 @@ func collectEvents(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// TestEventTraceGolden pins the event trace of the same-line burst on the
+// leading-request LBIC and on its greedy variant, whose greedy-bypass
+// conflicts exercise the line-choice pass.
 func TestEventTraceGolden(t *testing.T) {
-	got := collectEvents(t)
-	golden := filepath.Join("testdata", "events_same-line-burst_lbic-2x2.golden.jsonl")
+	greedy := LBICPort(2, 2)
+	greedy.Greedy = true
+	for _, port := range []PortConfig{LBICPort(2, 2), greedy} {
+		t.Run(port.Key(), func(t *testing.T) { checkEventGolden(t, port) })
+	}
+}
+
+func checkEventGolden(t *testing.T, port PortConfig) {
+	got := collectEvents(t, port)
+	golden := filepath.Join("testdata", "events_same-line-burst_"+port.Key()+".golden.jsonl")
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -236,8 +247,8 @@ func TestEventTraceGolden(t *testing.T) {
 }
 
 func TestEventTraceDeterministic(t *testing.T) {
-	a := collectEvents(t)
-	b := collectEvents(t)
+	a := collectEvents(t, LBICPort(2, 2))
+	b := collectEvents(t, LBICPort(2, 2))
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different event traces")
 	}
