@@ -131,6 +131,7 @@ workloads:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test . -fuzz FuzzParsePortName -fuzztime $(FUZZTIME)
+	$(GO) test . -fuzz FuzzGenParams -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm/ -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzArbiterGrant -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzCombining -fuzztime $(FUZZTIME)

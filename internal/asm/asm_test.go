@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,6 +140,18 @@ func TestAssembleAt(t *testing.T) {
 	`)
 	if m.Reg(isa.R(1)) != 0x200000 || m.Reg(isa.R(2)) != 9 {
 		t.Errorf("at/ld wrong: %#x %d", m.Reg(isa.R(1)), m.Reg(isa.R(2)))
+	}
+}
+
+// TestAssembleAtOverlapNamesLine: a second .at over an already-reserved
+// range is an error on its own line, not a silent replacement that drops
+// the first reservation's data.
+func TestAssembleAtOverlapNamesLine(t *testing.T) {
+	src := ".at a 0x100000 64\n.word64 a 7\n.at b 0x100000 8\nhalt"
+	_, err := Assemble("overlap", src)
+	var e *Error
+	if !errors.As(err, &e) || e.Line != 3 || !strings.Contains(e.Msg, "overlaps") {
+		t.Fatalf("Assemble = %v, want an overlap error on line 3", err)
 	}
 }
 

@@ -15,6 +15,7 @@ func FuzzAssemble(f *testing.F) {
 		"fadd f1, f2, f3",
 		".word64 buf+8 42",
 		".at x 0x100000 64\n.float x 1.5",
+		".at a 0x100000 64\n.word64 a 7\n.at b 0x100000 8\nli r1, a\nld r2, 0(r1)\nhalt",
 		"# comment only",
 		"add r1, r2",
 		"lw r1, (r2)",

@@ -24,14 +24,15 @@ type Machine struct {
 }
 
 // New returns a machine ready to execute prog from its entry point, with the
-// program's data segments loaded.
+// program's initialized data pages loaded; the rest of its image reads as
+// zero.
 func New(prog *isa.Program) (*Machine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Machine{prog: prog, mem: vm.NewMemory(), pc: prog.Entry}
-	for _, s := range prog.Data {
-		m.mem.Copy(s.Base, s.Bytes)
+	for _, pg := range prog.Pages {
+		m.mem.Copy(pg.Addr, pg.Bytes)
 	}
 	return m, nil
 }

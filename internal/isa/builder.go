@@ -1,15 +1,19 @@
 package isa
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder assembles a Program. Code is emitted sequentially; labels name code
 // positions and may be referenced before they are defined. Data memory is
-// carved out with Alloc and initialized with the Set* helpers.
+// carved out with Alloc and AllocAt, each recorded as an extent, and
+// initialized with the Set* helpers, which write into pages created on the
+// first non-zero byte, so reserving memory costs nothing until it is
+// initialized.
 //
 // Builder methods panic on malformed input (bad register class, duplicate
 // label); Build reports unresolved references as errors. Panics are
@@ -20,8 +24,9 @@ type Builder struct {
 	code    []Inst
 	labels  map[string]int
 	fixups  []fixup // branch instructions awaiting label resolution
-	data    map[uint64][]byte
-	brk     uint64 // data allocation cursor
+	extents []Segment
+	pages   map[uint64]*[PageSize]byte // by page number
+	brk     uint64                     // data allocation cursor
 	entry   int
 	haveEnt bool
 }
@@ -40,7 +45,7 @@ func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:   name,
 		labels: make(map[string]int),
-		data:   make(map[uint64][]byte),
+		pages:  make(map[uint64]*[PageSize]byte),
 		brk:    DataBase,
 	}
 }
@@ -359,57 +364,77 @@ func (b *Builder) Halt() { b.emit(Inst{Op: Halt}) }
 // Alloc reserves size bytes of zeroed data memory with the given alignment
 // (which must be a power of two) and returns the base address.
 func (b *Builder) Alloc(size int, align uint64) uint64 {
-	if size < 0 {
-		panic("isa: negative allocation size")
-	}
 	if align == 0 || align&(align-1) != 0 {
 		panic(fmt.Sprintf("isa: alignment %d is not a power of two", align))
 	}
 	base := (b.brk + align - 1) &^ (align - 1)
-	b.brk = base + uint64(size)
-	b.data[base] = make([]byte, size)
-	return base
+	if base < b.brk {
+		panic(fmt.Sprintf("isa: %d-byte alignment past %#x wraps the address space", align, b.brk))
+	}
+	return b.AllocAt(base, size)
 }
 
-// AllocAt reserves size bytes at an exact address. It is used by kernels
-// that need precise bank alignment between arrays. The region must not
-// collide with previous allocations; Build verifies overlap.
+// AllocAt reserves size bytes of zeroed data memory at an exact address. It
+// is used by kernels that need precise bank alignment between arrays. The
+// region must not overlap an earlier reservation.
 func (b *Builder) AllocAt(base uint64, size int) uint64 {
 	if size < 0 {
 		panic("isa: negative allocation size")
 	}
-	b.data[base] = make([]byte, size)
-	if end := base + uint64(size); end > b.brk {
-		b.brk = end
+	s := Segment{Base: base, Size: uint64(size)}
+	if s.End() < base {
+		panic(fmt.Sprintf("isa: allocation of %d bytes at %#x wraps the address space", size, base))
 	}
+	for _, t := range b.extents {
+		if s.overlaps(t) {
+			panic(fmt.Sprintf("isa: allocation [%#x,%#x) overlaps the one at [%#x,%#x)", s.Base, s.End(), t.Base, t.End()))
+		}
+	}
+	b.extents = append(b.extents, s)
+	b.brk = max(b.brk, s.End())
 	return base
 }
 
-func (b *Builder) locate(addr uint64, n int) ([]byte, int) {
-	for base, buf := range b.data {
-		if addr >= base && addr+uint64(n) <= base+uint64(len(buf)) {
-			return buf, int(addr - base)
-		}
+// write copies v into the data image at addr, which must lie inside one
+// reservation. A page is created only when a non-zero byte lands in it.
+func (b *Builder) write(addr uint64, v []byte) {
+	n := uint64(len(v))
+	if !slices.ContainsFunc(b.extents, func(s Segment) bool {
+		return addr >= s.Base && addr <= s.End() && n <= s.End()-addr
+	}) {
+		panic(fmt.Sprintf("isa: data initialization at %#x+%d outside any allocation", addr, len(v)))
 	}
-	panic(fmt.Sprintf("isa: data initialization at %#x+%d outside any allocation", addr, n))
+	for len(v) > 0 {
+		off := addr & pageMask
+		chunk := v[:min(uint64(len(v)), PageSize-off)]
+		pg := b.pages[addr>>PageBits]
+		if pg == nil && !zero(chunk) {
+			pg = new([PageSize]byte)
+			b.pages[addr>>PageBits] = pg
+		}
+		if pg != nil {
+			copy(pg[off:], chunk)
+		}
+		addr += uint64(len(chunk))
+		v = v[len(chunk):]
+	}
 }
 
 // SetByte initializes one byte of allocated data.
-func (b *Builder) SetByte(addr uint64, v byte) {
-	buf, off := b.locate(addr, 1)
-	buf[off] = v
-}
+func (b *Builder) SetByte(addr uint64, v byte) { b.write(addr, []byte{v}) }
 
 // SetWord32 initializes a 32-bit little-endian value in allocated data.
 func (b *Builder) SetWord32(addr uint64, v uint32) {
-	buf, off := b.locate(addr, 4)
-	binary.LittleEndian.PutUint32(buf[off:], v)
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], v)
+	b.write(addr, buf[:])
 }
 
 // SetWord64 initializes a 64-bit little-endian value in allocated data.
 func (b *Builder) SetWord64(addr uint64, v uint64) {
-	buf, off := b.locate(addr, 8)
-	binary.LittleEndian.PutUint64(buf[off:], v)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	b.write(addr, buf[:])
 }
 
 // SetFloat64 initializes a float64 in allocated data.
@@ -418,10 +443,7 @@ func (b *Builder) SetFloat64(addr uint64, v float64) {
 }
 
 // SetBytes initializes a run of bytes in allocated data.
-func (b *Builder) SetBytes(addr uint64, v []byte) {
-	buf, off := b.locate(addr, len(v))
-	copy(buf[off:], v)
-}
+func (b *Builder) SetBytes(addr uint64, v []byte) { b.write(addr, v) }
 
 // Build resolves labels and returns the validated program.
 func (b *Builder) Build() (*Program, error) {
@@ -434,16 +456,20 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[f.pc].Imm = int64(target)
 	}
-	bases := make([]uint64, 0, len(b.data))
-	for base := range b.data {
-		bases = append(bases, base)
+	extents := slices.Clone(b.extents)
+	slices.SortFunc(extents, func(x, y Segment) int {
+		return cmp.Or(cmp.Compare(x.Base, y.Base), cmp.Compare(x.Size, y.Size))
+	})
+	pns := make([]uint64, 0, len(b.pages))
+	for pn := range b.pages {
+		pns = append(pns, pn)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	segs := make([]Segment, 0, len(bases))
-	for _, base := range bases {
-		segs = append(segs, Segment{Base: base, Bytes: b.data[base]})
+	slices.Sort(pns)
+	pages := make([]Page, len(pns))
+	for i, pn := range pns {
+		pages[i] = Page{Addr: pn << PageBits, Bytes: b.pages[pn][:]}
 	}
-	p := &Program{Name: b.name, Code: code, Data: segs, Entry: b.entry}
+	p := &Program{Name: b.name, Code: code, Data: extents, Pages: pages, Entry: b.entry}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

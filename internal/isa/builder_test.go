@@ -2,9 +2,20 @@ package isa
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// dataByte reads one byte of p's initial data image.
+func dataByte(p *Program, addr uint64) byte {
+	for _, pg := range p.Pages {
+		if addr-pg.Addr < PageSize {
+			return pg.Bytes[addr-pg.Addr]
+		}
+	}
+	return 0
+}
 
 func TestBuilderLabelResolution(t *testing.T) {
 	b := NewBuilder("loop")
@@ -108,21 +119,93 @@ func TestBuilderDataInit(t *testing.T) {
 	if len(p.Data) != 1 {
 		t.Fatalf("segments = %d, want 1", len(p.Data))
 	}
-	seg := p.Data[0]
-	if seg.Base != a {
-		t.Errorf("segment base %#x, want %#x", seg.Base, a)
+	if seg := p.Data[0]; seg.Base != a || seg.Size != 32 {
+		t.Errorf("segment %+v, want 32 bytes at %#x", seg, a)
 	}
-	if seg.Bytes[0] != 0x88 || seg.Bytes[7] != 0x11 {
+	if dataByte(p, a) != 0x88 || dataByte(p, a+7) != 0x11 {
 		t.Error("SetWord64 wrong byte order")
 	}
-	if seg.Bytes[8] != 0xef {
+	if dataByte(p, a+8) != 0xef {
 		t.Error("SetWord32 wrong")
 	}
-	if seg.Bytes[12] != 0x7f {
+	if dataByte(p, a+12) != 0x7f {
 		t.Error("SetByte wrong")
 	}
-	if seg.Bytes[24] != 1 || seg.Bytes[26] != 3 {
+	if dataByte(p, a+24) != 1 || dataByte(p, a+26) != 3 {
 		t.Error("SetBytes wrong")
+	}
+}
+
+// TestBuilderPagesOnNonZeroWrite: reserving memory creates no pages; a page
+// appears on the first non-zero byte written to it, a write straddling a
+// page boundary lands in both pages, and zeros over an initialized value
+// clear it in place.
+func TestBuilderPagesOnNonZeroWrite(t *testing.T) {
+	b := NewBuilder("pages")
+	a := b.Alloc(3*PageSize, PageSize)
+	b.SetWord64(a, 0)
+	b.SetBytes(a+PageSize, make([]byte, PageSize))
+	b.Halt()
+	if p := b.MustBuild(); len(p.Pages) != 0 || p.DataBytes() != 3*PageSize {
+		t.Fatalf("zero writes made %d pages over %d bytes, want 0 over %d", len(p.Pages), p.DataBytes(), 3*PageSize)
+	}
+	b.SetWord64(a+2*PageSize-4, 0x1122334455667788)
+	b.SetWord32(a+2*PageSize-4, 0)
+	p := b.MustBuild()
+	if len(p.Pages) != 2 || p.Pages[0].Addr != a+PageSize || p.Pages[1].Addr != a+2*PageSize {
+		t.Fatalf("straddling write made pages %v, want the two at %#x and %#x", pageAddrs(p), a+PageSize, a+2*PageSize)
+	}
+	if dataByte(p, a+2*PageSize-1) != 0 || dataByte(p, a+2*PageSize) != 0x44 || dataByte(p, a+2*PageSize+3) != 0x11 {
+		t.Error("straddling write or its zero overwrite landed wrong")
+	}
+}
+
+func pageAddrs(p *Program) []uint64 {
+	var out []uint64
+	for _, pg := range p.Pages {
+		out = append(out, pg.Addr)
+	}
+	return out
+}
+
+// TestBuilderAllocAtOverlapPanics: a reservation that overlaps an earlier
+// one, including a second one at the same base, is rejected where it is
+// made instead of replacing the first and dropping its data.
+func TestBuilderAllocAtOverlapPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		base uint64
+		size int
+	}{
+		{"same base", 0x100000, 8},
+		{"inside", 0x100010, 8},
+		{"straddles start", 0xffff8, 16},
+		{"straddles end", 0x10003c, 16},
+		{"covers", 0xff000, 0x2000},
+		{"wraps", ^uint64(0) - 7, 16},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder("overlap")
+			b.AllocAt(0x100000, 64)
+			b.SetWord64(0x100000, 7)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AllocAt(%#x, %d) after [0x100000,0x100040) did not panic", c.base, c.size)
+				}
+			}()
+			b.AllocAt(c.base, c.size)
+		})
+	}
+	// Adjacent and empty reservations at the edges are fine.
+	b := NewBuilder("adjacent")
+	b.AllocAt(0x100000, 64)
+	b.AllocAt(0x100040, 8)
+	b.AllocAt(0xffff8, 8)
+	b.AllocAt(0x100000, 0)
+	b.Halt()
+	if p := b.MustBuild(); len(p.Data) != 4 || p.DataBytes() != 80 {
+		t.Errorf("adjacent reservations: %+v", p.Data)
 	}
 }
 
@@ -167,12 +250,50 @@ func TestProgramValidateOverlappingSegments(t *testing.T) {
 		Name: "overlap",
 		Code: []Inst{{Op: Halt}},
 		Data: []Segment{
-			{Base: 0x1000, Bytes: make([]byte, 16)},
-			{Base: 0x1008, Bytes: make([]byte, 16)},
+			{Base: 0x1000, Size: 16},
+			{Base: 0x1008, Size: 16},
 		},
 	}
 	if err := p.Validate(); err == nil {
 		t.Error("expected overlap validation error")
+	}
+}
+
+// TestProgramValidateImage: Validate rejects extents out of order or
+// wrapping the address space, and pages that are misaligned, short, out of
+// order, or that initialize a byte no extent covers.
+func TestProgramValidateImage(t *testing.T) {
+	page := func(addr uint64, at int) Page {
+		b := make([]byte, PageSize)
+		b[at] = 1
+		return Page{Addr: addr, Bytes: b}
+	}
+	exts := []Segment{{Base: 0x10010, Size: 0x20}, {Base: 0x10100, Size: 0x2000}}
+	cases := []struct {
+		name  string
+		data  []Segment
+		pages []Page
+		ok    bool
+	}{
+		{"inside first", exts, []Page{page(0x10000, 0x10)}, true},
+		{"inside second, next page", exts, []Page{page(0x10000, 0x2f), page(0x11000, 0x5)}, true},
+		{"before first", exts, []Page{page(0x10000, 0xf)}, false},
+		{"in the gap", exts, []Page{page(0x10000, 0x30)}, false},
+		{"past the last", exts, []Page{page(0x12000, 0x100)}, false},
+		{"no extent at all", exts, []Page{page(0x20000, 0)}, false},
+		{"misaligned", exts, []Page{page(0x10010, 0)}, false},
+		{"short", exts, []Page{{Addr: 0x10000, Bytes: make([]byte, 8)}}, false},
+		{"pages out of order", exts, []Page{page(0x11000, 0), page(0x10000, 0x10)}, false},
+		{"segments out of order", []Segment{exts[1], exts[0]}, nil, false},
+		{"segment wraps", []Segment{{Base: ^uint64(0) - 7, Size: 16}}, nil, false},
+		{"empty before equal base", []Segment{{Base: 0x10000}, {Base: 0x10000, Size: 8}}, nil, true},
+		{"empty after equal base", []Segment{{Base: 0x10000, Size: 8}, {Base: 0x10000}}, nil, false},
+	}
+	for _, c := range cases {
+		p := &Program{Name: c.name, Code: []Inst{{Op: Halt}}, Data: c.data, Pages: c.pages}
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 
@@ -203,7 +324,7 @@ func TestProgramSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("code[%d]: %v != %v", i, p.Code[i], q.Code[i])
 		}
 	}
-	if !bytes.Equal(p.Data[0].Bytes, q.Data[0].Bytes) {
+	if !reflect.DeepEqual(p.Data, q.Data) || !reflect.DeepEqual(p.Pages, q.Pages) {
 		t.Error("data mismatch after round trip")
 	}
 }
@@ -237,7 +358,7 @@ func TestBuilderAllocAt(t *testing.T) {
 	p := b.MustBuild()
 	found := false
 	for _, s := range p.Data {
-		if s.Base == 0x40000 && len(s.Bytes) == 128 {
+		if s.Base == 0x40000 && s.Size == 128 {
 			found = true
 		}
 	}

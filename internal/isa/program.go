@@ -7,24 +7,57 @@ import (
 	"io"
 )
 
-// Segment is a contiguous chunk of initialized data memory.
+// The data image is held in pages of PageSize bytes, the emulator's page
+// size, so loading an image page is one copy.
+const (
+	PageBits = 12
+	PageSize = 1 << PageBits
+	pageMask = PageSize - 1
+)
+
+// Segment is one reserved extent of data memory: Size bytes from Base. Its
+// bytes read as zero except where Program.Pages initializes them.
 type Segment struct {
-	Base  uint64
+	Base uint64
+	Size uint64
+}
+
+// End returns the first address past the extent.
+func (s Segment) End() uint64 { return s.Base + s.Size }
+
+// overlaps reports whether two extents share an address. It agrees with
+// Validate's ordered check: an empty extent overlaps only an extent that
+// strictly contains its base.
+func (s Segment) overlaps(t Segment) bool { return s.Base < t.End() && t.Base < s.End() }
+
+// Page is one initialized page of the data image: PageSize bytes from a
+// page-aligned Addr.
+type Page struct {
+	Addr  uint64
 	Bytes []byte
 }
 
 // Program is a complete executable: code, initial data image, and entry
 // point. Programs are immutable once built.
+//
+// The data image is sparse. Data lists the reserved extents and Pages only
+// the pages a builder wrote a non-zero byte to; every other byte reads as
+// zero. A kernel that declares megabytes of arrays but initializes a few
+// tables carries just those tables' pages.
 type Program struct {
-	Name  string
-	Code  []Inst
-	Data  []Segment
+	Name string
+	Code []Inst
+	// Data holds the reserved extents in ascending address order.
+	Data []Segment
+	// Pages holds the initialized pages in ascending address order.
+	Pages []Page
 	Entry int
 }
 
 // Validate checks structural invariants: a non-empty code section, an entry
 // point inside the code, branch targets inside the code, register operands in
-// range, and non-overlapping data segments.
+// range, ascending non-overlapping data segments, and data pages that lie
+// inside them.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("isa: program %q has no code", p.Name)
@@ -49,21 +82,73 @@ func (p *Program) Validate() error {
 		}
 	}
 	for i, s := range p.Data {
-		for j := i + 1; j < len(p.Data); j++ {
-			t := p.Data[j]
-			if s.Base < t.Base+uint64(len(t.Bytes)) && t.Base < s.Base+uint64(len(s.Bytes)) {
-				return fmt.Errorf("isa: program %q: data segments %d and %d overlap", p.Name, i, j)
+		if s.End() < s.Base {
+			return fmt.Errorf("isa: program %q: data segment %d (%d bytes at %#x) wraps the address space",
+				p.Name, i, s.Size, s.Base)
+		}
+		if i > 0 {
+			if prev := p.Data[i-1]; s.Base < prev.End() || s.Base == prev.Base && s.Size < prev.Size {
+				return fmt.Errorf("isa: program %q: data segments %d and %d overlap or are out of order", p.Name, i-1, i)
 			}
+		}
+	}
+	return p.validatePages()
+}
+
+// validatePages checks that pages are whole, aligned, strictly ascending, and
+// zero wherever no extent covers them, so the image holds no byte outside
+// its reservations.
+func (p *Program) validatePages() error {
+	next := 0 // first extent that may reach the current page
+	for i, pg := range p.Pages {
+		if len(pg.Bytes) != PageSize || pg.Addr&pageMask != 0 {
+			return fmt.Errorf("isa: program %q: data page %d at %#x is not an aligned %d-byte page",
+				p.Name, i, pg.Addr, PageSize)
+		}
+		if pg.Addr+PageSize < pg.Addr {
+			return fmt.Errorf("isa: program %q: data page %d at %#x is the top of the address space, which the emulator cannot load",
+				p.Name, i, pg.Addr)
+		}
+		if i > 0 && pg.Addr <= p.Pages[i-1].Addr {
+			return fmt.Errorf("isa: program %q: data pages %d and %d are out of order", p.Name, i-1, i)
+		}
+		for next < len(p.Data) && p.Data[next].End() <= pg.Addr {
+			next++
+		}
+		// Advance covered over the extents that reach the page, stopping
+		// at the first gap that holds a non-zero byte; the check below
+		// then reports it.
+		covered := 0
+		for j := next; j < len(p.Data) && p.Data[j].Base < pg.Addr+PageSize; j++ {
+			s := p.Data[j]
+			start := int(max(s.Base, pg.Addr) - pg.Addr)
+			if !zero(pg.Bytes[covered:max(start, covered)]) {
+				break
+			}
+			covered = max(covered, int(min(s.End(), pg.Addr+PageSize)-pg.Addr))
+		}
+		if !zero(pg.Bytes[covered:]) {
+			return fmt.Errorf("isa: program %q: data page %d at %#x initializes bytes outside every segment",
+				p.Name, i, pg.Addr)
 		}
 	}
 	return nil
 }
 
-// DataBytes returns the total number of initialized data bytes.
+func zero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// DataBytes returns the total number of reserved data bytes.
 func (p *Program) DataBytes() int {
 	n := 0
 	for _, s := range p.Data {
-		n += len(s.Bytes)
+		n += int(s.Size)
 	}
 	return n
 }
@@ -95,7 +180,7 @@ func (p *Program) Disassemble(w io.Writer) error {
 		return err
 	}
 	for _, s := range p.Data {
-		if _, err := fmt.Fprintf(w, "  .data %#x  %d bytes\n", s.Base, len(s.Bytes)); err != nil {
+		if _, err := fmt.Fprintf(w, "  .data %#x  %d bytes\n", s.Base, s.Size); err != nil {
 			return err
 		}
 	}

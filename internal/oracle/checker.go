@@ -73,8 +73,8 @@ type Checker struct {
 func NewChecker(prog *isa.Program, arb ports.Arbiter) *Checker {
 	base := vm.NewMemory()
 	if prog != nil {
-		for _, s := range prog.Data {
-			base.Copy(s.Base, s.Bytes)
+		for _, pg := range prog.Pages {
+			base.Copy(pg.Addr, pg.Bytes)
 		}
 	}
 	return &Checker{

@@ -733,7 +733,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsRegistry assembles a fresh registry from the server's live
-// counters and the two caches' stats, in stable order.
+// counters, the two caches' stats and the process's memory, in stable order.
 func (s *Server) metricsRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	add := func(name, help string, v uint64) {
@@ -771,6 +771,13 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 		add("tracecache.evictions", "recordings evicted by the byte-budget LRU", st.Evictions)
 		add("tracecache.entries", "resident recordings", uint64(st.Entries))
 		add("tracecache.bytes_live", "resident recording bytes", uint64(st.BytesLive))
+	}
+	// The daemon's own memory, read on each scrape.
+	inuse, goal := heapFigures()
+	add("go.heap_inuse_bytes", "bytes in in-use heap spans", inuse)
+	add("go.heap_goal_bytes", "heap size at which the next garbage collection starts", goal)
+	if rss, ok := maxRSS(); ok {
+		add("process.max_rss_bytes", "peak resident set size of the process", rss)
 	}
 	s.latMu.Lock()
 	lats := make([]*metrics.LatencyHistogram, 0, len(s.routeLat))

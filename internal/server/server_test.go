@@ -465,7 +465,7 @@ func TestMetricsTextExport(t *testing.T) {
 	} else if n == 0 {
 		t.Error("exposition has no samples")
 	}
-	for _, want := range []string{"server_requests_total", "tracecache_records_total", "resultcache_hits_total", "server_request_duration_seconds_bucket"} {
+	for _, want := range []string{"server_requests_total", "tracecache_records_total", "resultcache_hits_total", "server_request_duration_seconds_bucket", "go_heap_inuse_bytes_total", "process_max_rss_bytes_total"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
@@ -485,6 +485,27 @@ func TestMetricsTextExport(t *testing.T) {
 		if !bytes.Contains(body2, []byte(want)) {
 			t.Errorf("text metrics missing %q:\n%s", want, body2)
 		}
+	}
+}
+
+// TestMetricsReportProcessMemory: /metrics carries the daemon's own heap
+// in use, heap goal and peak RSS, and heap in use does not exceed peak RSS.
+func TestMetricsReportProcessMemory(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	snap, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := map[string]uint64{}
+	for _, name := range []string{"go.heap_inuse_bytes", "go.heap_goal_bytes", "process.max_rss_bytes"} {
+		v, ok := client.CounterValue(snap, name)
+		if !ok || v == 0 {
+			t.Fatalf("/metrics has %s = %d (present %v)", name, v, ok)
+		}
+		figures[name] = v
+	}
+	if figures["go.heap_inuse_bytes"] > figures["process.max_rss_bytes"] {
+		t.Errorf("heap in use %d exceeds peak RSS %d", figures["go.heap_inuse_bytes"], figures["process.max_rss_bytes"])
 	}
 }
 

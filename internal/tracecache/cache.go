@@ -270,13 +270,14 @@ func (c *Cache) Recorded(ctx context.Context, prog *isa.Program, insts uint64) (
 	})
 }
 
-// Fingerprint hashes a program's full content (code, data image, entry,
-// name), so the cache key distinguishes any two programs that could produce
-// different streams. It folds in a 64-bit word per step, an FNV-style
-// xor-multiply followed by a xorshift that carries high bits back down, since
-// the kernels' data images run to megabytes. Every step is a bijection of the
-// state, so two programs of the same shape that differ in one word never
-// collide. Keys live only in memory; nothing persists a fingerprint.
+// Fingerprint hashes a program's full content (code, data extents and
+// initialized pages, entry, name), so the cache key distinguishes any two
+// programs that could produce different streams. It folds in a 64-bit word
+// per step, an FNV-style xor-multiply followed by a xorshift that carries
+// high bits back down, since a kernel's initialized pages can run to a
+// megabyte. Every step is a bijection of the state, so two programs of the
+// same shape that differ in one word never collide. Keys live only in
+// memory; nothing persists a fingerprint.
 func Fingerprint(p *isa.Program) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -310,7 +311,12 @@ func Fingerprint(p *isa.Program) uint64 {
 	word(uint64(len(p.Data)))
 	for _, s := range p.Data {
 		word(s.Base)
-		bytes(s.Bytes)
+		word(s.Size)
+	}
+	word(uint64(len(p.Pages)))
+	for _, pg := range p.Pages {
+		word(pg.Addr)
+		bytes(pg.Bytes)
 	}
 	return h
 }

@@ -233,22 +233,21 @@ func TestFingerprintDistinguishesPrograms(t *testing.T) {
 	if Fingerprint(build(1)) != Fingerprint(build(1)) {
 		t.Fatal("fingerprint is not deterministic")
 	}
-	// The data image is hashed a word at a time; an 11-byte segment ends in
-	// a partial word, and a change to its last byte must still register.
-	withData := func(last byte) *isa.Program {
+	// The data image is hashed as extents plus pages: a change to one
+	// initialized byte, or to one extent's size alone, must register.
+	withData := func(last byte, size uint64) *isa.Program {
 		p := build(1)
-		img := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, last}
-		p.Data = []isa.Segment{{Base: 0x1000, Bytes: img}}
+		img := make([]byte, isa.PageSize)
+		copy(img, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, last})
+		p.Data = []isa.Segment{{Base: 0x10000, Size: size}}
+		p.Pages = []isa.Page{{Addr: 0x10000, Bytes: img}}
 		return p
 	}
-	if Fingerprint(withData(11)) == Fingerprint(withData(12)) {
-		t.Fatal("programs differing only in a trailing data byte share a fingerprint")
+	if Fingerprint(withData(11, 16)) == Fingerprint(withData(12, 16)) {
+		t.Fatal("programs differing only in one data byte share a fingerprint")
 	}
-	// Zero padding of that partial word must not alias a longer image.
-	padded := withData(11)
-	padded.Data[0].Bytes = append(padded.Data[0].Bytes, 0)
-	if Fingerprint(withData(11)) == Fingerprint(padded) {
-		t.Fatal("a data image and its zero-extended copy share a fingerprint")
+	if Fingerprint(withData(11, 16)) == Fingerprint(withData(11, 24)) {
+		t.Fatal("programs differing only in an extent's size share a fingerprint")
 	}
 }
 

@@ -8,8 +8,10 @@
 // exported span tree must validate (single job root, every span reaching
 // it, simulate spans carrying cycles and trace-cache attribution), and a
 // /metrics scrape that must be valid Prometheus text exposition with
-// nonzero request counters. With -trace-artifact the sweep's span JSONL is
-// written there, for upload as a CI workflow artifact.
+// nonzero request counters and must report the daemon's own memory (heap in
+// use, heap goal, peak RSS, with heap in use no larger than peak RSS). With
+// -trace-artifact the sweep's span JSONL is written there, for upload as a
+// CI workflow artifact.
 //
 //	lbicd -addr 127.0.0.1:8329 &
 //	lbicdsmoke -addr http://127.0.0.1:8329 -trace-artifact job-trace.jsonl
@@ -115,6 +117,7 @@ func main() {
 
 	smokeTrace(ctx, c, *insts, *traceArtifact)
 	smokeMetrics(*addr)
+	smokeMemory(ctx, c)
 }
 
 // smokeTrace runs a 2×2 sweep (ports chosen to not collide with the earlier
@@ -208,4 +211,27 @@ func smokeMetrics(addr string) {
 		log.Fatalf("lbicdsmoke: server_requests_total is zero after a full smoke run")
 	}
 	fmt.Printf("lbicdsmoke: metrics ok (%d samples valid, %.0f requests counted)\n", samples, requests)
+}
+
+// smokeMemory fails unless /metrics reports the daemon's heap in use, heap
+// goal and peak RSS, and heap in use does not exceed peak RSS.
+func smokeMemory(ctx context.Context, c *client.Client) {
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		log.Fatalf("lbicdsmoke: /metrics: %v", err)
+	}
+	fig := map[string]uint64{}
+	for _, name := range []string{"go.heap_inuse_bytes", "go.heap_goal_bytes", "process.max_rss_bytes"} {
+		v, ok := client.CounterValue(snap, name)
+		if !ok || v == 0 {
+			log.Fatalf("lbicdsmoke: /metrics reports %s = %d (present %v)", name, v, ok)
+		}
+		fig[name] = v
+	}
+	if fig["go.heap_inuse_bytes"] > fig["process.max_rss_bytes"] {
+		log.Fatalf("lbicdsmoke: heap in use %d exceeds peak RSS %d", fig["go.heap_inuse_bytes"], fig["process.max_rss_bytes"])
+	}
+	const mib = 1 << 20
+	fmt.Printf("lbicdsmoke: memory ok (heap in use %.1f MiB, goal %.1f MiB, peak RSS %.1f MiB)\n",
+		float64(fig["go.heap_inuse_bytes"])/mib, float64(fig["go.heap_goal_bytes"])/mib, float64(fig["process.max_rss_bytes"])/mib)
 }
