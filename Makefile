@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke advsearch-smoke pgo tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke advsearch-smoke doc-commands pgo tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -116,6 +116,12 @@ advsearch-smoke:
 	$(GO) run ./cmd/lbicsim -trace-in testdata/adversarial/conflict-storm-bank-4.lbictrace \
 		-port bank-4 -json - \
 		| cmp - testdata/adversarial/conflict-storm-bank-4.report.json
+
+# doc-commands is the CI gate on the documentation: every command line in
+# README.md, EXPERIMENTS.md, ISA.md and the verify skill must run, at a small
+# -insts budget, in a scratch directory (see scripts/doccommands).
+doc-commands:
+	$(GO) run ./scripts/doccommands
 
 tables:
 	$(GO) run ./cmd/lbictables -all

@@ -1,15 +1,20 @@
-// Command lbicsim runs one benchmark under one cache port organization and
-// prints the measured statistics:
+// Command lbicsim runs one workload under one cache port organization and
+// prints the measured statistics. The organization is a registry name (the
+// grammar of lbic.ParsePortName, listed by -h); the workload is a kernel, an
+// access pattern, a synthetic generator, a recorded trace or an assembly
+// file:
 //
-//	lbicsim -bench compress -port ideal -width 4
-//	lbicsim -bench swim -port banked -banks 8
-//	lbicsim -bench mgrid -port lbic -banks 4 -lineports 2 -insts 2000000
-//	lbicsim -bench compress -port lbic -banks 4 -lineports 2 -json run.json
-//	lbicsim -bench compress -port banked -banks 4 -metrics
-//	lbicsim -bench compress -port lbic-4x2-greedy
+//	lbicsim -bench compress -port true-4
+//	lbicsim -bench swim -port bank-8
+//	lbicsim -bench mgrid -port lbic-4x2 -insts 2000000
+//	lbicsim -bench compress -port lbic-4x2 -json run.json
+//	lbicsim -bench compress -port bank-4 -metrics
+//	lbicsim -bench li -port coded-4x2-spec
 //	lbicsim -bench compress -config run.json
 //	lbicsim -bench compress -port lbic-4x2 -trace-out trace.json   # chrome://tracing
-//	lbicsim -gen zipf -port banked -banks 4                        # synthetic stream
+//	lbicsim -bench swim -port bank-4 -pipeline 2000:40             # per-cycle timeline
+//	lbicsim -asm examples/asm/saxpy.s -port lbic-4x2               # assembled program
+//	lbicsim -gen zipf -port bank-4                                 # synthetic stream
 //	lbicsim -gen '{"kind":"zipf","skew_pct":99}' -port lbic-4x2
 //	lbicsim -bench compress -insts 100000 -trace-dump compress.lbictrace
 //	lbicsim -trace-in compress.lbictrace -port lbic-4x2 -json -
@@ -22,8 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"lbic"
@@ -36,12 +43,9 @@ func main() {
 		genSpec    = flag.String("gen", "", "run a synthetic generator stream instead of -bench: a catalog kind (see -list) or an inline GenParams JSON object")
 		traceIn    = flag.String("trace-in", "", "replay a serialized lbic-trace-stream/v1 file instead of -bench (- for stdin); without an explicit -insts the whole trace runs")
 		traceDump  = flag.String("trace-dump", "", "record the selected workload for -insts instructions, write it as lbic-trace-stream/v1 to this file (- for stdout), and exit without simulating")
+		asmPath    = flag.String("asm", "", "simulate this assembly file instead of -bench, named after its base name (see ISA.md)")
 		configPath = flag.String("config", "", "load the full simulation Config from this JSON file (flags set explicitly still override)")
-		portKind   = flag.String("port", "ideal", "port organization: ideal | repl | banked | banksq | mpb | lbic | coded, or a full name like lbic-4x2 or coded-4x1-spec")
-		width      = flag.Int("width", 1, "port count (ideal, repl, mpb ports per bank)")
-		banks      = flag.Int("banks", 4, "bank count (banked, banksq, mpb, lbic, coded)")
-		linePorts  = flag.Int("lineports", 2, "per-bank line-buffer ports (lbic)")
-		parity     = flag.Int("parity", 1, "XOR parity bank count (coded)")
+		portName   = flag.String("port", "true-1", "port organization, a registry name: "+lbic.PortNameExamples())
 		insts      = flag.Uint64("insts", 1_000_000, "instructions to simulate")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this wall-clock time (0 = none)")
 		list       = flag.Bool("list", false, "list benchmarks and exit")
@@ -50,6 +54,7 @@ func main() {
 		showMetric = flag.Bool("metrics", false, "print histogram and gauge tables (CPI stack, per-bank conflicts, ...)")
 		jsonOut    = flag.String("json", "", "write the machine-readable run report to this file (- for stdout)")
 		eventsOut  = flag.String("events", "", "write the structured JSONL event trace to this file (- for stdout)")
+		pipeline   = flag.String("pipeline", "", "print the per-cycle pipeline timeline to stdout before the summary: SKIP:CYCLES[:EVERY] prints CYCLES lines (0 = to the end) from cycle SKIP on, one per EVERY cycles")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run's spans to this file (load in chrome://tracing)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
@@ -71,6 +76,21 @@ func main() {
 		return
 	}
 
+	// stdout carries at most one stream, so each stays parseable.
+	var stdoutUsers []string
+	if *jsonOut == "-" {
+		stdoutUsers = append(stdoutUsers, "-json -")
+	}
+	if *eventsOut == "-" {
+		stdoutUsers = append(stdoutUsers, "-events -")
+	}
+	if *pipeline != "" {
+		stdoutUsers = append(stdoutUsers, "-pipeline")
+	}
+	if len(stdoutUsers) > 1 {
+		fatal(fmt.Errorf("%s cannot share stdout; write all but one to a file", strings.Join(stdoutUsers, " and ")))
+	}
+
 	// Flags given explicitly on the command line override a -config file.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -85,8 +105,12 @@ func main() {
 			fatal(fmt.Errorf("parsing %s: %w", *configPath, err))
 		}
 	}
-	if *configPath == "" || set["port"] || set["width"] || set["banks"] || set["lineports"] {
-		cfg.Port = parsePort(*portKind, *width, *banks, *linePorts, *parity)
+	if *configPath == "" || set["port"] {
+		port, err := lbic.ParsePortName(*portName)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Port = port
 	}
 	if *configPath == "" || set["insts"] {
 		cfg.MaxInsts = *insts
@@ -101,16 +125,23 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	port := cfg.Port
 
 	exclusive := 0
-	for _, s := range []string{*pattern, *genSpec, *traceIn} {
+	for _, s := range []string{*pattern, *genSpec, *traceIn, *asmPath} {
 		if s != "" {
 			exclusive++
 		}
 	}
 	if exclusive > 1 {
-		fatal(fmt.Errorf("-pattern, -gen and -trace-in are mutually exclusive"))
+		fatal(fmt.Errorf("-pattern, -gen, -trace-in and -asm are mutually exclusive"))
+	}
+	if *pipeline != "" {
+		view, err := parsePipeline(*pipeline)
+		if err != nil {
+			fatal(err)
+		}
+		view.W = os.Stdout
+		cfg.Pipeline = &view
 	}
 	if *traceDump != "" && *traceIn != "" {
 		fatal(fmt.Errorf("-trace-dump cannot be combined with -trace-in"))
@@ -146,6 +177,16 @@ func main() {
 		src, name = lbic.GeneratorSource(genParam), genParam.Key()
 	case *pattern != "":
 		if prog, err = lbic.BuildPattern(*pattern); err != nil {
+			fatal(err)
+		}
+		src, name = lbic.ProgramSource(prog), prog.Name
+	case *asmPath != "":
+		text, err := os.ReadFile(*asmPath)
+		if err != nil {
+			fatal(err)
+		}
+		base := filepath.Base(*asmPath)
+		if prog, err = lbic.Assemble(strings.TrimSuffix(base, filepath.Ext(base)), string(text)); err != nil {
 			fatal(err)
 		}
 		src, name = lbic.ProgramSource(prog), prog.Name
@@ -245,8 +286,11 @@ func main() {
 		return
 	}
 
+	if cfg.Pipeline != nil {
+		fmt.Println()
+	}
 	fmt.Printf("benchmark:   %s\n", res.Benchmark)
-	fmt.Printf("ports:       %s (peak %d accesses/cycle)\n", port.Name(), port.PeakWidth())
+	fmt.Printf("ports:       %s (peak %d accesses/cycle)\n", cfg.Port.Name(), cfg.Port.PeakWidth())
 	fmt.Printf("insts:       %d\n", res.Insts)
 	fmt.Printf("cycles:      %d\n", res.Cycles)
 	fmt.Printf("IPC:         %.3f\n", res.IPC)
@@ -280,31 +324,22 @@ func main() {
 	}
 }
 
-// parsePort resolves -port: a kind keyword combined with -width/-banks/
-// -lineports/-parity, or a full compact name like "lbic-4x2-greedy" or
-// "coded-4x1-spec" (the ParsePortName grammar).
-func parsePort(kind string, width, banks, linePorts, parity int) lbic.PortConfig {
-	switch strings.ToLower(kind) {
-	case "ideal", "true":
-		return lbic.IdealPort(width)
-	case "repl", "replicated":
-		return lbic.ReplicatedPort(width)
-	case "bank", "banked":
-		return lbic.BankedPort(banks)
-	case "banksq":
-		return lbic.BankedSQPort(banks)
-	case "mpb":
-		return lbic.MultiPortedBanksPort(banks, width)
-	case "lbic":
-		return lbic.LBICPort(banks, linePorts)
-	case "coded":
-		return lbic.CodedPort(banks, parity)
+// parsePipeline resolves -pipeline: SKIP:CYCLES[:EVERY].
+func parsePipeline(spec string) (lbic.PipelineView, error) {
+	var v lbic.PipelineView
+	fields := strings.Split(spec, ":")
+	if len(fields) < 2 || len(fields) > 3 {
+		return v, fmt.Errorf("-pipeline %q: want SKIP:CYCLES[:EVERY]", spec)
 	}
-	port, err := lbic.ParsePortName(kind)
-	if err != nil {
-		fatal(fmt.Errorf("unknown port organization %q", kind))
+	dsts := []*uint64{&v.Skip, &v.Cycles, &v.Every}
+	for i, f := range fields {
+		n, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return v, fmt.Errorf("-pipeline %q: want SKIP:CYCLES[:EVERY]: %w", spec, err)
+		}
+		*dsts[i] = n
 	}
-	return port
+	return v, nil
 }
 
 // parseGen resolves -gen: a catalog kind name, or an inline GenParams JSON

@@ -1,6 +1,6 @@
 // Package asm is a text assembler for the simulator's ISA, so programs can
-// be written as .s files and run with cmd/lbicasm rather than constructed
-// through the Go builder API.
+// be written as .s files and run with cmd/lbicasm (functionally) or
+// lbicsim -asm (timed) rather than constructed through the Go builder API.
 //
 // Syntax, one statement per line ('#' or ';' start a comment):
 //

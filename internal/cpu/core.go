@@ -228,6 +228,8 @@ type Core struct {
 	// verify, when non-nil, receives the memory-pipeline observations and
 	// enables the per-cycle self-checks (CPI stall stack sums to cycles).
 	verify Verifier
+	// view, when non-nil, prints the per-cycle timeline (SetPipelineView).
+	view *viewState
 }
 
 // New prepares a run of stream against the given memory hierarchy and port
@@ -393,6 +395,9 @@ func (c *Core) Step() error {
 			return fmt.Errorf("cpu: verify failed at cycle %d: CPI stall buckets sum to %d, want %d",
 				c.now, sum, c.now+1)
 		}
+	}
+	if c.view != nil {
+		c.view.observe(c)
 	}
 	c.now++
 	return nil

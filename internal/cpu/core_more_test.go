@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -125,8 +126,9 @@ func TestVirtualMatchesIdeal(t *testing.T) {
 	}
 }
 
-// TestTraceRunOutput checks the tracer emits the expected columns and totals.
-func TestTraceRunOutput(t *testing.T) {
+// TestPipelineViewOutput checks the view prints the column header and one
+// line per cycle whose commit column adds up to the run's total.
+func TestPipelineViewOutput(t *testing.T) {
 	dyns := make([]trace.Dyn, 50)
 	for i := range dyns {
 		dyns[i] = alu(r(1+i%8), r(20), r(21))
@@ -142,18 +144,31 @@ func TestTraceRunOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	st, err := TraceRun(c, &sb, TraceOptions{})
+	c.SetPipelineView(PipelineView{W: &sb})
+	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Committed != 50 {
 		t.Fatalf("committed %d", st.Committed)
 	}
-	out := sb.String()
-	for _, want := range []string{"cycle", "ruu", "head", "50 instructions"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if f := strings.Fields(lines[0]); len(f) != 10 || f[0] != "cycle" || f[3] != "ruu" || f[9] != "head" {
+		t.Fatalf("header = %q", lines[0])
+	}
+	if uint64(len(lines)-1) != st.Cycles {
+		t.Errorf("%d rows for %d cycles", len(lines)-1, st.Cycles)
+	}
+	var committed uint64
+	for _, l := range lines[1:] {
+		n, err := strconv.ParseUint(strings.Fields(l)[1], 10, 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", l, err)
 		}
+		committed += n
+	}
+	if committed != 50 {
+		t.Errorf("commit column sums to %d, want 50:\n%s", committed, sb.String())
 	}
 }
 

@@ -17,15 +17,16 @@ import "math"
 // so the tripping Step still executes. A fast-forwarded run is therefore
 // bit-identical to a stepped run — a property fastforward_test.go asserts.
 //
-// Fast-forward is disabled when a Verifier is attached (the oracle observes
-// every cycle) and when the arbiter does not implement ports.Quiescer or
-// reports queued work (a draining store queue changes state on idle cycles).
+// Fast-forward is disabled when a Verifier or a pipeline view is attached
+// (each observes every cycle) and when the arbiter does not implement
+// ports.Quiescer or reports queued work (a draining store queue changes
+// state on idle cycles).
 
 // idleCycles returns how many cycles starting at c.now are provably inert:
 // no event due, no hierarchy activity, no grantable request, commit and
 // dispatch blocked, and the arbiter quiescent. Zero means step normally.
 func (c *Core) idleCycles() uint64 {
-	if c.verify != nil || c.arbQuiescent == nil || !c.arbQuiescent() {
+	if c.verify != nil || c.view != nil || c.arbQuiescent == nil || !c.arbQuiescent() {
 		return 0
 	}
 	if c.readyCount > 0 || c.pending.len() > 0 || c.sbUngranted > 0 {

@@ -1,6 +1,6 @@
 package cpu
 
-// Introspection accessors used by the pipeline tracer and diagnostics. They
+// Introspection accessors used by the pipeline view and diagnostics. They
 // expose occupancy snapshots without letting callers mutate the pipeline.
 
 // InFlight returns the number of instructions currently in the RUU.

@@ -50,6 +50,9 @@ type (
 	CPUConfig = cpu.Config
 	// CPUStats reports per-run processor activity.
 	CPUStats = cpu.Stats
+	// PipelineView prints a run's per-cycle pipeline occupancy timeline
+	// (see Config.Pipeline).
+	PipelineView = cpu.PipelineView
 	// MemParams sets the cache hierarchy geometry and latencies (Table 1).
 	MemParams = cache.Params
 	// MemStats reports cache hierarchy activity.
@@ -255,7 +258,8 @@ func (p PortConfig) Key() string {
 
 // Config is a complete simulation configuration. It marshals to JSON —
 // the serialization shared by `lbicsim -config`, the lbicd service schema,
-// and run reports — with the process-local fields (Events, Trace) excluded.
+// and run reports — with the process-local fields (Events, Trace, Pipeline)
+// excluded.
 type Config struct {
 	// Port selects the L1 port organization.
 	Port PortConfig `json:"port"`
@@ -269,6 +273,11 @@ type Config struct {
 	// bank conflict, line combine, miss, and writeback (see
 	// NewJSONLEventSink). Deterministic for a given program and config.
 	Events EventSink `json:"-"`
+	// Pipeline, when non-nil, writes the run's per-cycle pipeline occupancy
+	// timeline (see PipelineView). It changes no statistic of the run. Each
+	// lane of a batch that sets it prints its own timeline, interleaved with
+	// the others' at scheduler chunk boundaries.
+	Pipeline *PipelineView `json:"-"`
 	// Trace, when non-nil, sources the run's dynamic instruction stream from
 	// the cache: the first run of a program records its trace once, and every
 	// later run at the same instruction budget replays the compact recording
@@ -283,8 +292,8 @@ type Config struct {
 	// bypass older overlapping stores, store queues must drain FIFO, every
 	// load must observe exactly the sequential machine's value, and the
 	// final memory image must match. Violations fail the run with a
-	// descriptive error. Complete runs only get the end-of-run checks;
-	// truncated traces (TraceOptions.MaxCycles) are verified per cycle.
+	// descriptive error: the per-cycle checks at the cycle they fail, the
+	// final-memory check once the run completes.
 	Verify bool `json:"verify,omitempty"`
 }
 

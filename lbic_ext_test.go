@@ -155,16 +155,17 @@ func TestCharacterizeWithFacade(t *testing.T) {
 	}
 }
 
-func TestTraceSimulationFacade(t *testing.T) {
+func TestPipelineViewFacade(t *testing.T) {
 	prog, err := lbic.BuildBenchmark("li")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
 	cfg := lbic.DefaultConfig()
 	cfg.Port = lbic.BankedPort(4)
 	cfg.MaxInsts = 5_000
-	var sb strings.Builder
-	res, err := lbic.TraceSimulation(prog, cfg, &sb, lbic.TraceOptions{MaxCycles: 20})
+	cfg.Pipeline = &lbic.PipelineView{W: &sb, Cycles: 20}
+	res, err := lbic.Simulate(context.Background(), lbic.ProgramSource(prog), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +173,12 @@ func TestTraceSimulationFacade(t *testing.T) {
 		t.Errorf("insts = %d", res.Insts)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "cycle") || !strings.Contains(out, "IPC") {
+	if !strings.HasPrefix(out, "   cycle") {
 		t.Errorf("trace output malformed:\n%s", out)
 	}
-	// MaxCycles bounds the printed lines, not the run.
-	if lines := strings.Count(out, "\n"); lines > 30 {
-		t.Errorf("trace printed %d lines, want bounded", lines)
+	// Cycles bounds the printed lines, not the run.
+	if lines := strings.Count(out, "\n"); lines != 21 {
+		t.Errorf("trace printed %d lines, want a header and 20 rows", lines)
 	}
 }
 

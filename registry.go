@@ -113,6 +113,26 @@ func portTokens() []string {
 	return out
 }
 
+// PortNameExamples renders the ParsePortName grammar for error and usage
+// text: one name per wire kind, in registration order, from the kind's own
+// name rule applied to its first axis (else samples) configuration, then the
+// store-queue suffix every name may carry.
+func PortNameExamples() string {
+	var names []string
+	for _, k := range portOrgOrder {
+		o := portOrgs[k]
+		if !o.wire {
+			continue
+		}
+		example := o.axis
+		if len(example) == 0 {
+			example = o.samples
+		}
+		names = append(names, o.name(example[0]))
+	}
+	return strings.Join(names, ", ") + "; any with an optional -sqD store-queue depth suffix"
+}
+
 // PortOrgInfo describes one registered port organization, for tooling that
 // enumerates the taxonomy (docs, the adversarial search's port axis, the
 // lbicd schema listing).

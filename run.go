@@ -1,7 +1,7 @@
 package lbic
 
-// This file is the simulator's one execution path. Simulate, SimulateBatch
-// and TraceSimulation all wire their machines here: one instruction stream
+// This file is the simulator's one execution path. Simulate and
+// SimulateBatch wire their machines here: one instruction stream
 // per run and one machine per configuration, stepped by cpu.RunLanes. A run
 // of one configuration reads the stream directly; K >= 2 lanes share it
 // through a tracecache.SharedCursor, so each dynamic instruction is decoded
@@ -246,7 +246,8 @@ func newSim(cfg Config) (*sim, error) {
 	return &sim{arb: arb, hier: hier}, nil
 }
 
-// wireCore attaches the timing core to a stream and hooks up cfg.Events.
+// wireCore attaches the timing core to a stream and hooks up cfg.Events and
+// cfg.Pipeline.
 func (s *sim) wireCore(stream trace.Stream, cfg Config) error {
 	cpuCfg := cpu.DefaultConfig()
 	if cfg.CPU != nil {
@@ -264,6 +265,9 @@ func (s *sim) wireCore(stream trace.Stream, cfg Config) error {
 		if er, ok := s.arb.(ports.EventRecorder); ok {
 			er.SetEventSink(cfg.Events)
 		}
+	}
+	if cfg.Pipeline != nil {
+		c.SetPipelineView(*cfg.Pipeline)
 	}
 	return nil
 }

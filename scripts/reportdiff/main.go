@@ -2,8 +2,8 @@
 // `lbicsim -json` and prints the IPC, stall-stack, and conflict deltas — the
 // quick answer to "what did this port change buy?":
 //
-//	go run ./cmd/lbicsim -bench swim -port banked -banks 4 -json bank.json
-//	go run ./cmd/lbicsim -bench swim -port lbic -banks 4 -lineports 2 -json lbic.json
+//	go run ./cmd/lbicsim -bench swim -port bank-4 -json bank.json
+//	go run ./cmd/lbicsim -bench swim -port lbic-4x2 -json lbic.json
 //	go run ./scripts/reportdiff bank.json lbic.json
 package main
 

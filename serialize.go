@@ -56,7 +56,7 @@ func (k *PortKind) UnmarshalText(text []byte) error {
 func ParsePortName(name string) (PortConfig, error) {
 	orig := name
 	fail := func() (PortConfig, error) {
-		return PortConfig{}, fmt.Errorf("lbic: cannot parse port name %q (want e.g. true-4, repl-2, bank-8[-xor-fold], lbic-4x2[-greedy], virt-2, banksq-8, mpb-2x2, coded-4x1[-lbN][-spec], optionally -sqD)", orig)
+		return PortConfig{}, fmt.Errorf("lbic: cannot parse port name %q (want e.g. %s)", orig, PortNameExamples())
 	}
 
 	// Peel a trailing "-sqD" store-queue depth override. The only kind token

@@ -103,6 +103,16 @@ func TestParsePortNameErrors(t *testing.T) {
 			t.Errorf("ParsePortName(%q) = %+v, want error", name, p)
 		}
 	}
+	// A name outside the grammar fails with an example of every wire kind.
+	_, err := lbic.ParsePortName("lbic")
+	for _, o := range lbic.PortOrganizations() {
+		if o.Wire && !strings.Contains(err.Error(), o.Token+"-") {
+			t.Errorf("error %q has no %s example", err, o.Token)
+		}
+	}
+	if !strings.Contains(err.Error(), "-sqD") {
+		t.Errorf("error %q omits the -sqD suffix", err)
+	}
 }
 
 func TestPortConfigValidate(t *testing.T) {

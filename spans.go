@@ -14,7 +14,7 @@ import (
 // usual, and export the snapshot as JSON Lines (lbic-trace/v1) or as a
 // Chrome trace-event document for chrome://tracing / Perfetto. Contexts
 // without a trace pay nothing: StartSpan returns a nil no-op span. (For the
-// per-cycle pipeline-occupancy timeline, see TraceSimulation instead.)
+// per-cycle pipeline-occupancy timeline, see PipelineView instead.)
 type (
 	// RequestTrace is a per-request (or per-job) span buffer.
 	RequestTrace = tracing.Trace
