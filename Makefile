@@ -45,15 +45,22 @@ bench:
 # bench-smoke is the CI gate: one iteration of every benchmark, parsed by
 # benchjson so a broken benchmark or malformed output fails the build, plus
 # one table sweep so the lane-batched sweep path is exercised end to end. It
-# also fails when a plain build of lbictables no longer picks up its
-# default.pgo, so a moved or deleted profile cannot silently drop the gain.
+# also fails when a plain build of lbictables, lbicd or lbicsim no longer
+# picks up its default.pgo, or when the three profiles differ (make pgo
+# writes one merged profile to all three), so a moved, deleted or stale
+# profile cannot silently drop the gain.
+PGO_MAINS = lbictables lbicd lbicsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
 		| $(GO) run ./scripts/benchjson -o /dev/null
 	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 > /dev/null
-	$(GO) build -o /tmp/lbictables-pgo-check ./cmd/lbictables
-	$(GO) version -m /tmp/lbictables-pgo-check | grep -q -- '-pgo=' \
-		|| { echo 'lbictables was built without a PGO profile; run make pgo'; exit 1; }
+	for cmd in $(PGO_MAINS); do \
+		$(GO) build -o /tmp/$$cmd-pgo-check ./cmd/$$cmd || exit 1; \
+		$(GO) version -m /tmp/$$cmd-pgo-check | grep -q -- '-pgo=' \
+		|| { echo "$$cmd was built without a PGO profile; run make pgo"; exit 1; }; \
+		cmp cmd/lbictables/default.pgo cmd/$$cmd/default.pgo \
+		|| { echo "cmd/$$cmd/default.pgo differs from cmd/lbictables/default.pgo; run make pgo"; exit 1; }; \
+	done
 
 # pgo regenerates the profile-guided-optimization profile that a plain go
 # build (and so lbicbench/run.sh) applies to lbictables, lbicd and lbicsim,
@@ -70,7 +77,7 @@ pgo:
 	$(GO) test -pgo=off -run '^$$' -bench 'BenchmarkSimulatorThroughput/.*/.*/replay' -benchtime 40x \
 		-o $(PGO_DIR)/lbic.test -cpuprofile $(PGO_DIR)/replay.pprof . > /dev/null
 	$(GO) tool pprof -proto $(PGO_DIR)/tables.pprof $(PGO_DIR)/replay.pprof > $(PGO_DIR)/merged.pgo
-	for cmd in lbictables lbicd lbicsim; do cp $(PGO_DIR)/merged.pgo cmd/$$cmd/default.pgo; done
+	for cmd in $(PGO_MAINS); do cp $(PGO_DIR)/merged.pgo cmd/$$cmd/default.pgo; done
 
 # tables-golden is the CI gate on output bytes: every table at 20k
 # instructions must match the checked-in JSON the benchmark verifies

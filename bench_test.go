@@ -231,3 +231,19 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunFixed prices the fixed cost of a run: 64 instructions over a
+// warm trace cache, alone (k1) and as an eight-lane batch (k8). Its
+// allocations are what TestWarmRunAllocBudget bounds.
+func BenchmarkRunFixed(b *testing.B) {
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			run := fixedRun(b, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

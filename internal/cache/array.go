@@ -8,6 +8,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"lbic/internal/recycle"
 )
 
 // Geometry describes one cache level.
@@ -84,6 +86,9 @@ type Array struct {
 	Writebacks uint64
 }
 
+// wayPool recycles the tag arrays of finished runs (Hierarchy.Release).
+var wayPool recycle.Slices[way]
+
 // NewArray returns an empty array with the given geometry.
 func NewArray(g Geometry) (*Array, error) {
 	if err := g.Validate(); err != nil {
@@ -94,7 +99,7 @@ func NewArray(g Geometry) (*Array, error) {
 		lineBits: uint(g.LineBits()),
 		setMask:  uint64(g.Sets() - 1),
 		tagShift: uint(bits.TrailingZeros(uint(g.Sets()))),
-		ways:     make([]way, g.Sets()*g.Assoc),
+		ways:     wayPool.Make(g.Sets() * g.Assoc),
 		assoc:    g.Assoc,
 	}, nil
 }
@@ -211,6 +216,13 @@ func (a *Array) MissRate() float64 {
 		return 0
 	}
 	return float64(a.Misses) / float64(a.Accesses)
+}
+
+// release hands the ways back to wayPool; the array must not be used
+// afterwards.
+func (a *Array) release() {
+	wayPool.Put(a.ways)
+	a.ways = nil
 }
 
 // Reset clears all lines and counters.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lbic/internal/metrics"
+	"lbic/internal/recycle"
 	"lbic/internal/trace"
 )
 
@@ -157,6 +158,7 @@ type Hierarchy struct {
 	queue     []uint64   // line addresses with unsent L2 requests, FIFO from qHead
 	qHead     int        // consumed prefix of queue (compacted, never regrown)
 	fills     [][]uint64 // fill events, a ring indexed by cycle
+	fillBuf   []uint64   // the slots' initial backing, from fillPool
 	fillMask  uint64
 	sendBW    int // L2 requests per cycle
 	sendLeft  int // request slots remaining this cycle
@@ -172,6 +174,22 @@ type Hierarchy struct {
 	events    trace.EventSink
 	lineShift uint // log2(L1 line size), for event line numbers
 }
+
+// Storage pools for the buffers a hierarchy sizes at construction (see
+// recycle): NewHierarchy takes from them and Release returns to them.
+var (
+	fillPool       recycle.Slices[uint64]
+	completionPool recycle.Slices[Completion]
+)
+
+// fillSlotCap and completionCap are the initial capacities of a fill-ring
+// slot and of a completion buffer. Each is above the most the ten kernels
+// reach under PortAxis at 100k instructions (2 fills due in one cycle, 23
+// completions drained in one); a run past them grows the buffer by append.
+const (
+	fillSlotCap   = 4
+	completionCap = 32
+)
 
 // NewHierarchy returns an empty hierarchy.
 func NewHierarchy(p Params) (*Hierarchy, error) {
@@ -196,19 +214,39 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: L2: %w", err)
 	}
-	return &Hierarchy{
-		params:   p,
-		l1:       l1,
-		l2:       l2,
-		mshrs:    make(map[uint64]*mshr),
-		sendBW:   bw,
-		fills:    make([][]uint64, ring),
-		fillMask: uint64(ring - 1),
+	h := &Hierarchy{
+		params:    p,
+		l1:        l1,
+		l2:        l2,
+		mshrs:     make(map[uint64]*mshr),
+		sendBW:    bw,
+		fills:     make([][]uint64, ring),
+		fillBuf:   fillPool.Make(ring * fillSlotCap),
+		fillMask:  uint64(ring - 1),
+		completed: completionPool.Make(completionCap)[:0],
+		drained:   completionPool.Make(completionCap)[:0],
 		mshrOcc: metrics.NewHistogram("mem.mshr_occupancy",
 			"live MSHRs per cycle (memory-level parallelism in flight)",
 			"mshrs", p.MSHRs+1),
 		lineShift: uint(p.L1.LineBits()),
-	}, nil
+	}
+	for i := range h.fills {
+		h.fills[i] = h.fillBuf[i*fillSlotCap : i*fillSlotCap : (i+1)*fillSlotCap]
+	}
+	return h, nil
+}
+
+// Release hands the hierarchy's storage back for a later NewHierarchy: both
+// arrays' ways, the fill ring and the completion buffers. Stats and the
+// MSHR occupancy histogram stay valid; nothing else of the hierarchy may be
+// used afterwards, nor the slice the last Drain returned.
+func (h *Hierarchy) Release() {
+	h.l1.release()
+	h.l2.release()
+	fillPool.Put(h.fillBuf)
+	completionPool.Put(h.completed)
+	completionPool.Put(h.drained)
+	h.fills, h.fillBuf, h.completed, h.drained = nil, nil, nil, nil
 }
 
 // SetEventSink directs the structured event trace to s (nil disables it).

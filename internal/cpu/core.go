@@ -10,6 +10,7 @@ import (
 	"lbic/internal/isa"
 	"lbic/internal/metrics"
 	"lbic/internal/ports"
+	"lbic/internal/recycle"
 	"lbic/internal/trace"
 )
 
@@ -180,7 +181,8 @@ type Core struct {
 	ready      []uint64
 	readyCount int
 
-	wheel [wheelSize][]event
+	wheel    [wheelSize][]event
+	wheelBuf []event // the slots' initial backing, from wheelPool
 
 	// LSQ-derived structures.
 	lsqCount    int
@@ -232,6 +234,21 @@ type Core struct {
 	view *viewState
 }
 
+// Storage pools for the buffers a core sizes at construction (see recycle):
+// New takes from them and Release returns to them. The pending window and
+// the forwarding table keep theirs in pending.go and fwdtable.go.
+var (
+	entryPool    recycle.Slices[entry]
+	linkPool     recycle.Slices[int32]
+	storeBufPool recycle.Slices[storeBufEntry]
+	wheelPool    recycle.Slices[event]
+)
+
+// wheelSlotCap is the initial capacity of an event-wheel slot. The ten
+// kernels under PortAxis at 100k instructions schedule at most 66 events
+// for one cycle; a slot that fills past its capacity grows by append.
+const wheelSlotCap = 32
+
 // New prepares a run of stream against the given memory hierarchy and port
 // arbiter.
 func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Config) (*Core, error) {
@@ -255,10 +272,11 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		stream:   stream,
 		hier:     hier,
 		arb:      arb,
-		entries:  make([]entry, cfg.RUUSize),
-		depNext:  make([]int32, 2*cfg.RUUSize),
+		entries:  entryPool.Make(cfg.RUUSize),
+		depNext:  linkPool.Make(2 * cfg.RUUSize),
 		ready:    make([]uint64, (cfg.RUUSize+63)/64),
-		storeBuf: make([]storeBufEntry, cfg.StoreBufferSize),
+		storeBuf: storeBufPool.Make(cfg.StoreBufferSize),
+		wheelBuf: wheelPool.Make(wheelSize * wheelSlotCap),
 		grantHist: metrics.NewHistogram("cpu.grants_per_cycle",
 			"port grants per cycle (arbiter bandwidth actually used)",
 			"grants", arb.PeakWidth()+1),
@@ -288,6 +306,9 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 	for i := range c.entries {
 		c.entries[i] = entry{waiterHead: -1, waiterNext: -1, depHead: -1, depTail: -1}
 	}
+	for i := range c.wheel {
+		c.wheel[i] = c.wheelBuf[i*wheelSlotCap : i*wheelSlotCap : (i+1)*wheelSlotCap]
+	}
 	// Every pending load holds an LSQ slot.
 	c.pending.init(cfg.LSQSize)
 	// Every store with a generated address is in the LSQ or the store buffer
@@ -297,6 +318,21 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		c.arbQuiescent = q.Quiescent
 	}
 	return c, nil
+}
+
+// Release hands the core's window storage back for a later New: the RUU
+// entries and dependent links, the pending-load window, the forwarding
+// table, the store buffer and the event-wheel slots. Stats, FastForwarded
+// and the metric objects stay valid; the core must not step afterwards.
+func (c *Core) Release() {
+	entryPool.Put(c.entries)
+	linkPool.Put(c.depNext)
+	storeBufPool.Put(c.storeBuf)
+	wheelPool.Put(c.wheelBuf)
+	c.pending.release()
+	c.fwd.release()
+	c.entries, c.depNext, c.storeBuf, c.wheelBuf = nil, nil, nil, nil
+	c.wheel = [wheelSize][]event{}
 }
 
 // Stats returns a snapshot of the run statistics.

@@ -1,5 +1,7 @@
 package cpu
 
+import "lbic/internal/recycle"
+
 // fwdTable replaces the old map[uint64][]fwdRef store-forwarding index with a
 // chained hash table over pooled nodes, sized once at New to the maximum
 // number of live forwarding refs — every store with a generated address is
@@ -19,18 +21,31 @@ type fwdTable struct {
 	free    int32 // head of the free list threaded through nodes[].next
 }
 
+// Storage pools for the table's arrays (see recycle).
+var (
+	fwdBucketPool recycle.Slices[int32]
+	fwdNodePool   recycle.Slices[fwdNode]
+)
+
 func (t *fwdTable) init(maxRefs int) {
 	n := 1
 	for n < 2*maxRefs {
 		n <<= 1
 	}
-	t.buckets = make([]int32, n)
+	t.buckets = fwdBucketPool.Make(n)
 	for i := range t.buckets {
 		t.buckets[i] = -1
 	}
 	t.mask = uint64(n - 1)
-	t.nodes = make([]fwdNode, 0, maxRefs)
+	t.nodes = fwdNodePool.Make(maxRefs)[:0]
 	t.free = -1
+}
+
+// release hands the arrays back for a later init.
+func (t *fwdTable) release() {
+	fwdBucketPool.Put(t.buckets)
+	fwdNodePool.Put(t.nodes)
+	t.buckets, t.nodes = nil, nil
 }
 
 func (t *fwdTable) bucket(g uint64) *int32 {

@@ -1,6 +1,9 @@
 package cpu
 
-import "lbic/internal/ports"
+import (
+	"lbic/internal/ports"
+	"lbic/internal/recycle"
+)
 
 // pendWin holds the loads waiting for a cache port: their port requests in
 // ascending seq order, ready to hand to the arbiter as they stand, and the
@@ -18,12 +21,25 @@ type pendWin struct {
 	lo, hi int
 }
 
+// Storage pools for the window's arrays (see recycle).
+var (
+	pendReqPool recycle.Slices[ports.Request]
+	pendIdxPool recycle.Slices[int32]
+)
+
 // init sizes the window for up to capacity loads with the run centred.
 func (w *pendWin) init(capacity int) {
 	n := 2*capacity + 2
-	w.reqs = make([]ports.Request, n)
-	w.idx = make([]int32, n)
+	w.reqs = pendReqPool.Make(n)
+	w.idx = pendIdxPool.Make(n)
 	w.lo, w.hi = n/2, n/2
+}
+
+// release hands the arrays back for a later init.
+func (w *pendWin) release() {
+	pendReqPool.Put(w.reqs)
+	pendIdxPool.Put(w.idx)
+	w.reqs, w.idx = nil, nil
 }
 
 // len returns the number of pending loads.

@@ -28,6 +28,9 @@ const simulateAllocBound = 256 << 20
 // simulates one instruction, which must stay within simulateAllocBound:
 // the size caps hold at the boundary.
 func FuzzSimulateRequest(f *testing.F) {
+	// 8-byte L1 lines hold two four-byte words.
+	narrowLine := lbic.DefaultMemParams()
+	narrowLine.L1.LineSize = 8
 	for _, req := range []client.SimulateRequest{
 		{Benchmark: "compress", Port: client.Port("lbic-4x2"), Insts: 20_000},
 		{Benchmark: "li", Port: client.Port("bank-4"), Insts: 20_000},
@@ -44,6 +47,10 @@ func FuzzSimulateRequest(f *testing.F) {
 		{Benchmark: "swim", Port: client.Port("lbic-4x2-greedy"), Insts: 1000,
 			CPU: &lbic.CPUConfig{FetchWidth: 4096, IssueWidth: 4096, CommitWidth: 4096, RUUSize: 4096,
 				LSQSize: 4096, StoreBufferSize: 4096, MemScanDepth: 4096}},
+		// LBIC line buffers wider than the L1 line's four-byte words: the
+		// Table 1 line, and an override's 8-byte line.
+		{Benchmark: "compress", Port: client.Port("lbic-4x9"), Insts: 1000},
+		{Benchmark: "compress", Port: client.Port("lbic-4x4"), Insts: 1000, Mem: &narrowLine},
 	} {
 		if req.Schema == "" {
 			req.Schema = client.RequestSchema

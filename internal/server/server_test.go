@@ -158,6 +158,8 @@ func TestSimulateTraceUpload(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
+	narrowLine := lbic.DefaultMemParams()
+	narrowLine.L1.LineSize = 8 // two four-byte words
 	cases := []struct {
 		name string
 		req  client.SimulateRequest
@@ -173,6 +175,11 @@ func TestSimulateValidation(t *testing.T) {
 		{"bad schema", client.SimulateRequest{Schema: "lbic-sim-request/v99", Benchmark: "compress", Port: client.Port("true-1"), Insts: 1000}, ""},
 		{"oversized port", client.SimulateRequest{Benchmark: "compress", Port: client.Port("bank-8388608"), Insts: 1000},
 			"bank count 8388608 exceeds the limit of 1024"},
+		{"line buffer wider than the line", client.SimulateRequest{Benchmark: "compress", Port: client.Port("lbic-4x9"), Insts: 1000},
+			"combining width 9 exceeds the 8 four-byte words of a 32-byte line"},
+		{"line buffer wider than an override's line", client.SimulateRequest{Benchmark: "compress", Port: client.Port("lbic-4x4"),
+			Insts: 1000, Mem: &narrowLine},
+			"combining width 4 exceeds the 2 four-byte words of a 8-byte line"},
 	}
 	for _, tc := range cases {
 		_, err := c.Simulate(ctx, tc.req)
@@ -192,6 +199,21 @@ func TestSimulateValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSweepValidation: a sweep whose port cannot be built at the L1 line
+// size is refused at admission with a 400 naming the width, instead of
+// being accepted and failing in every cell.
+func TestSweepValidation(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	_, err := c.Sweep(context.Background(), client.SweepRequest{Ports: []client.PortSpec{client.Port("lbic-4x9")}, Insts: 1000})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("err = %v, want HTTP 400", err)
+	}
+	if want := "combining width 9 exceeds"; !strings.Contains(apiErr.Message, want) {
+		t.Errorf("error %q, want it to name %q", apiErr.Message, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tracecache
 
-import "lbic/internal/trace"
+import (
+	"lbic/internal/recycle"
+	"lbic/internal/trace"
+)
 
 // SharedCursor decodes an instruction stream exactly once and fans the
 // decoded records out to K lane readers that each consume it at their own
@@ -38,6 +41,9 @@ type SharedCursor struct {
 	readers []*LaneReader
 }
 
+// ringPool recycles the decode rings of finished batches (see recycle).
+var ringPool recycle.Slices[trace.Dyn]
+
 // NewSharedCursor wraps src in a cursor whose ring holds at least window
 // decoded records (rounded up to a power of two, minimum 16). Attach every
 // reader with NewLaneReader before the first Next call.
@@ -46,7 +52,15 @@ func NewSharedCursor(src trace.Stream, window int) *SharedCursor {
 	for n < window {
 		n <<= 1
 	}
-	return &SharedCursor{src: src, buf: make([]trace.Dyn, n), mask: uint64(n - 1)}
+	return &SharedCursor{src: src, buf: ringPool.Make(n), mask: uint64(n - 1)}
+}
+
+// Release hands the ring back for a later NewSharedCursor. Call it once
+// every lane has finished; neither the cursor nor its readers may be used
+// afterwards.
+func (c *SharedCursor) Release() {
+	ringPool.Put(c.buf)
+	c.buf = nil
 }
 
 // NewLaneReader attaches and returns a new reader positioned at the start of
@@ -122,11 +136,12 @@ func (c *SharedCursor) advanceLimit() {
 // old[i&oldMask] to new[i&newMask].
 func (c *SharedCursor) grow(min uint64) {
 	old, oldMask := c.buf, c.mask
-	c.buf = make([]trace.Dyn, 2*len(old))
+	c.buf = ringPool.Make(2 * len(old))
 	c.mask = uint64(len(c.buf) - 1)
 	for i := min; i < c.filled; i++ {
 		c.buf[i&c.mask] = old[i&oldMask]
 	}
+	ringPool.Put(old)
 }
 
 // LaneReader is one lane's view of a SharedCursor. It implements

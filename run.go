@@ -159,6 +159,8 @@ type machines struct {
 	live *emu.Machine
 	// tcache is the trace cache the stream replays from, nil otherwise.
 	tcache *TraceCache
+	// cur shares the stream among the lanes of a batch; nil for K=1.
+	cur *tracecache.SharedCursor
 }
 
 // wire builds one sim per configuration, picks src's stream, and attaches
@@ -198,20 +200,19 @@ func wire(ctx context.Context, src Source, o origin, insts uint64, cfgs []Config
 		return nil, err
 	}
 
-	var cur *tracecache.SharedCursor
 	if len(cfgs) > 1 {
-		cur = tracecache.NewSharedCursor(stream, batchWindow)
+		m.cur = tracecache.NewSharedCursor(stream, batchWindow)
 		if m.live == nil {
 			// Replayed and synthetic sources may be read ahead freely; only
 			// a live emulator must be drawn exactly as far as the lanes
 			// consume.
-			cur.SetBatchFill(cpu.LaneChunk)
+			m.cur.SetBatchFill(cpu.LaneChunk)
 		}
 	}
 	for i, s := range m.sims {
 		lane := stream
-		if cur != nil {
-			lane = cur.NewLaneReader()
+		if m.cur != nil {
+			lane = m.cur.NewLaneReader()
 		}
 		if err := s.wireCore(lane, cfgs[i]); err != nil {
 			if len(cfgs) > 1 {
@@ -308,6 +309,19 @@ func (m *machines) result(name string, cfg Config, s *sim, st cpu.Stats) Result 
 	return res
 }
 
+// release hands every lane's machine storage back to its pools once the
+// results are assembled. Nothing a Result reaches lives there: its counters
+// are copies and its metric objects are allocated per run.
+func (m *machines) release() {
+	for _, s := range m.sims {
+		s.core.Release()
+		s.hier.Release()
+	}
+	if m.cur != nil {
+		m.cur.Release()
+	}
+}
+
 // recoverRunPanic converts a panic escaping a run into an error: guest
 // faults (*vm.Fault — bad addresses, unimplemented opcodes) become a
 // "program faulted" error, and any other panic — a bug in a user-supplied
@@ -329,7 +343,8 @@ func recoverRunPanic(name string, errp *error, r any) {
 // run is the one execution path behind Simulate and SimulateBatch. It opens
 // the spans, recovers panics, picks the stream, wires one machine per
 // configuration onto it, steps them all with cpu.RunLanes, checks Verify
-// lanes, and assembles the results. errs[i] is nil exactly when results[i]
+// lanes, assembles the results and releases the machines' storage for the
+// next run. errs[i] is nil exactly when results[i]
 // is valid; err reports a failure of the whole run.
 //
 // Every lane contributes one "simulate <name>" span carrying its coordinates
@@ -428,6 +443,7 @@ func run(ctx context.Context, src Source, cfgs []Config) (results []Result, errs
 		}
 		results[i] = m.result(o.name, cfgs[i], s, s.core.Stats())
 	}
+	m.release()
 	return results, errs, nil
 }
 

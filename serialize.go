@@ -138,7 +138,11 @@ func (p PortConfig) checkSize(o *portOrg) error {
 }
 
 // Validate checks the full simulation configuration: the port organization
-// plus any CPU and memory-hierarchy overrides.
+// plus any CPU and memory-hierarchy overrides. A wire kind's arbiter is then
+// built at the effective L1 line size, so a rule that depends on the line
+// (an LBIC line buffer is at most as wide as the line's four-byte words)
+// fails here, not when the run starts. Custom kinds are not built: their
+// factory is caller code.
 func (c Config) Validate() error {
 	if err := c.Port.Validate(); err != nil {
 		return err
@@ -148,8 +152,15 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	mem := DefaultMemParams()
 	if c.Mem != nil {
 		if err := c.Mem.Validate(); err != nil {
+			return err
+		}
+		mem = *c.Mem
+	}
+	if o, _ := portOrgFor(c.Port.Kind); o.wire {
+		if _, err := o.build(c.Port, mem.L1.LineSize); err != nil {
 			return err
 		}
 	}
