@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff tables-golden lbicd-smoke advsearch-smoke doc-commands pgo tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench bench-smoke bench-diff bench-ab tables-golden lbicd-smoke advsearch-smoke doc-commands pgo tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -85,6 +85,16 @@ pgo:
 tables-golden:
 	$(GO) run ./cmd/lbictables -all -insts 20000 -jobs 2 -json -q \
 		| cmp - lbicbench/driver/testdata/paper-tables.json
+
+# bench-ab is a paired A/B of the micro-benchmarks (every BenchmarkGrant
+# leg, BenchmarkCoreStep, BenchmarkLaneStep/k1) between BASE (default: the
+# merge-base with main) and the working tree: ROUNDS rounds, alternating
+# which side runs first. It fails when a leg's median is more than 10% worse
+# and the two min-max ranges separate (scripts/benchab).
+BASE ?=
+ROUNDS ?= 10
+bench-ab:
+	$(GO) run ./scripts/benchab -base "$(BASE)" -rounds $(ROUNDS)
 
 # bench-diff is the perf regression gate: ns/op drift between the two most
 # recent checked-in benchmark snapshots past the threshold fails unless

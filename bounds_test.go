@@ -99,6 +99,19 @@ func TestPortConfigErrors(t *testing.T) {
 		{lbic.MultiPortedBanksPort(1024, 1024), "peak width 1048576 exceeds the limit of 1024"},
 		{lbic.PortConfig{Kind: lbic.BankedStoreQueue, Banks: 4, StoreQueueDepth: 1 << 20},
 			"store queue depth 1048576 exceeds the limit of 1024"},
+		// A set field outside the kind's schema would be ignored by the
+		// machine yet reach reports and cache keys.
+		{lbic.PortConfig{Kind: lbic.BankedStoreQueue, Banks: 4, Selector: lbic.WordInterleave},
+			"a banksq port takes no selector"},
+		{lbic.PortConfig{Kind: lbic.Ideal, Width: 4, StoreQueueDepth: 8}, "a true port takes no store_queue_depth"},
+		{lbic.PortConfig{Kind: lbic.Replicated, Width: 4, StoreQueueDepth: 2}, "a repl port takes no store_queue_depth"},
+		{lbic.PortConfig{Kind: lbic.Banked, Banks: 4, StoreQueueDepth: 4}, "a bank port takes no store_queue_depth"},
+		{lbic.PortConfig{Kind: lbic.MultiPortedBanks, Banks: 2, Width: 2, LinePorts: 2, Greedy: true},
+			"a mpb port takes no line_ports"},
+		{lbic.PortConfig{Kind: lbic.MultiPortedBanks, Banks: 2, Width: 2, StoreQueueDepth: 4},
+			"a mpb port takes no store_queue_depth"},
+		{lbic.PortConfig{Kind: lbic.LBIC, Banks: 4, LinePorts: 2, Selector: lbic.XorFold}, "a lbic port takes no selector"},
+		{lbic.PortConfig{Kind: lbic.Coded, Banks: 4, ParityBanks: 1, Selector: lbic.XorFold}, "a coded port takes no selector"},
 	}
 	for _, c := range cases {
 		if _, err := lbic.ScenarioCycles(c.port, refs); err == nil {

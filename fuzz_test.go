@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 
 // FuzzParsePortName drives the port-name grammar, the first input boundary
 // every CLI and lbicd request crosses. Any input must end as an error or as
-// a configuration that validates, whose Key parses back to the same
-// configuration, and whose arbiter build returns without panicking.
+// a configuration that validates, sets no field outside its kind's schema,
+// has a Key that parses back to the same configuration, and builds an
+// arbiter without panicking.
 func FuzzParsePortName(f *testing.F) {
 	for _, p := range lbic.PortAxis() {
 		f.Add(p.Key())
@@ -24,6 +26,14 @@ func FuzzParsePortName(f *testing.F) {
 	// digits.
 	f.Add("bank-8388608")
 	f.Add("true-10000000")
+	// Store-queue depths on kinds without queues, which Validate refuses.
+	f.Add("true-4-sq8")
+	f.Add("bank-4-sq4")
+	f.Add("mpb-2x2-sq4")
+	schemas := map[lbic.PortKind][]string{}
+	for _, o := range lbic.PortOrganizations() {
+		schemas[o.Kind] = o.Schema
+	}
 	f.Fuzz(func(t *testing.T, name string) {
 		p, err := lbic.ParsePortName(name)
 		if err != nil {
@@ -31,6 +41,19 @@ func FuzzParsePortName(f *testing.F) {
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("ParsePortName(%q) = %+v, which fails Validate: %v", name, p, err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for field := range fields {
+			if !slices.Contains(schemas[p.Kind], field) {
+				t.Fatalf("ParsePortName(%q) sets %s, outside the %s schema %v", name, field, p.Kind, schemas[p.Kind])
+			}
 		}
 		q, err := lbic.ParsePortName(p.Key())
 		if err != nil {

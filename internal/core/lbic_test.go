@@ -7,7 +7,7 @@ import (
 	"lbic/internal/ports"
 )
 
-func newLBIC(t *testing.T, m, n int) *LBIC {
+func newLBIC(t *testing.T, m, n int) *ports.Banks {
 	t.Helper()
 	a, err := New(Config{Banks: m, LinePorts: n, LineSize: 32})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestLBICName(t *testing.T) {
 	if a.PeakWidth() != 8 {
 		t.Errorf("PeakWidth() = %d, want 8", a.PeakWidth())
 	}
-	if a.Config().StoreQueueDepth != DefaultStoreQueueDepth {
+	if a.Params().Depth != ports.DefaultStoreQueueDepth {
 		t.Error("default store queue depth not applied")
 	}
 }
@@ -121,7 +121,7 @@ func TestFigure4cScenario(t *testing.T) {
 	if got := cycles(lbic); got != 1 {
 		t.Errorf("2x2 LBIC took %d cycles, want 1", got)
 	}
-	bank, err := ports.NewBanked(2, 32)
+	bank, err := ports.NewBankedSelector(2, 32, ports.BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,13 @@ func TestLBICStoreQueueCoalescesAndDrains(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("grants = %v", got)
 	}
-	if a.StoreQueueLen(0) != 1 {
-		t.Fatalf("store queue = %d lines, want 1 (coalesced)", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 1 {
+		t.Fatalf("store queue = %d lines, want 1 (coalesced)", a.QueueLen(0))
 	}
 	// A store to a second line of bank 0 takes the second slot.
 	a.Grant(1, reqs(ports.Request{Addr: 0x180, Store: true}), nil)
-	if a.StoreQueueLen(0) != 2 {
-		t.Fatalf("store queue = %d lines, want 2", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 2 {
+		t.Fatalf("store queue = %d lines, want 2", a.QueueLen(0))
 	}
 	// A leading store to a third line finds the queue full: it writes the
 	// array directly (banked-cache behaviour) and closes the bank's line
@@ -171,20 +171,20 @@ func TestLBICStoreQueueCoalescesAndDrains(t *testing.T) {
 	if a.Stats().DirectStores != 1 {
 		t.Error("direct store not counted")
 	}
-	if a.StoreQueueLen(0) != 2 {
-		t.Errorf("store queue = %d, want 2 (no drain while busy)", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 2 {
+		t.Errorf("store queue = %d, want 2 (no drain while busy)", a.QueueLen(0))
 	}
 	// An idle cycle drains one line; then a new line is accepted again.
 	a.Grant(3, nil, nil)
-	if a.StoreQueueLen(0) != 1 {
-		t.Errorf("store queue after idle = %d, want 1 (drained)", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 1 {
+		t.Errorf("store queue after idle = %d, want 1 (drained)", a.QueueLen(0))
 	}
 	got = a.Grant(4, reqs(ports.Request{Addr: 0x200, Store: true}), nil)
 	if len(got) != 1 {
 		t.Errorf("retry grant = %v", got)
 	}
-	if a.StoreQueueLen(0) != 2 {
-		t.Errorf("store queue = %d, want 2", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 2 {
+		t.Errorf("store queue = %d, want 2", a.QueueLen(0))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestLBICStoreQueueCoalesceWhenFull(t *testing.T) {
 	}
 	a.Grant(0, reqs(ports.Request{Addr: 0x100, Store: true}), nil)
 	a.Grant(1, reqs(ports.Request{Addr: 0x180, Store: true}), nil)
-	if a.StoreQueueLen(0) != 2 {
+	if a.QueueLen(0) != 2 {
 		t.Fatal("queue should be full")
 	}
 	// Same line as the first queued store: granted, no direct write.
@@ -207,8 +207,8 @@ func TestLBICStoreQueueCoalesceWhenFull(t *testing.T) {
 	if a.Stats().DirectStores != 0 {
 		t.Error("coalescing store must not go direct")
 	}
-	if a.StoreQueueLen(0) != 2 {
-		t.Errorf("store queue = %d, want 2 (coalesced)", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 2 {
+		t.Errorf("store queue = %d, want 2 (coalesced)", a.QueueLen(0))
 	}
 }
 
@@ -240,11 +240,11 @@ func TestLBICIdleCycleDrainsAllBanks(t *testing.T) {
 		ports.Request{Addr: 0x100, Store: true}, // bank 0
 		ports.Request{Addr: 0x120, Store: true}, // bank 1
 	), nil)
-	if a.StoreQueueLen(0) != 1 || a.StoreQueueLen(1) != 1 {
+	if a.QueueLen(0) != 1 || a.QueueLen(1) != 1 {
 		t.Fatal("stores not queued")
 	}
 	a.Grant(1, nil, nil) // fully idle cycle
-	if a.StoreQueueLen(0) != 0 || a.StoreQueueLen(1) != 0 {
+	if a.QueueLen(0) != 0 || a.QueueLen(1) != 0 {
 		t.Error("idle cycle should drain both banks")
 	}
 	if a.Stats().StoreDrains != 2 {
@@ -257,8 +257,8 @@ func TestLBICBusyBankDoesNotDrain(t *testing.T) {
 	a.Grant(0, reqs(ports.Request{Addr: 0x100, Store: true}), nil)
 	// Bank 0 busy with a load next cycle: no drain there.
 	a.Grant(1, reqs(ports.Request{Addr: 0x180}), nil)
-	if a.StoreQueueLen(0) != 1 {
-		t.Errorf("busy bank drained: queue = %d, want 1", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 1 {
+		t.Errorf("busy bank drained: queue = %d, want 1", a.QueueLen(0))
 	}
 }
 
@@ -327,7 +327,7 @@ func TestLBICDominatesBankedQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bk, err := ports.NewBanked(4, 32)
+		bk, err := ports.NewBankedSelector(4, 32, ports.BitSelect)
 		if err != nil {
 			return false
 		}

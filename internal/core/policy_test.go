@@ -6,7 +6,7 @@ import (
 	"lbic/internal/ports"
 )
 
-func newGreedy(t *testing.T, m, n int) *LBIC {
+func newGreedy(t *testing.T, m, n int) *ports.Banks {
 	t.Helper()
 	a, err := New(Config{Banks: m, LinePorts: n, LineSize: 32, Policy: PolicyGreedy})
 	if err != nil {

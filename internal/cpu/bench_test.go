@@ -58,7 +58,7 @@ func newBenchCore(tb testing.TB) *Core {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	arb, err := ports.NewBanked(4, 32)
+	arb, err := ports.NewBankedSelector(4, 32, ports.BitSelect)
 	if err != nil {
 		tb.Fatal(err)
 	}

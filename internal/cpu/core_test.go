@@ -284,7 +284,7 @@ func TestBankConflictsSlowBankedCache(t *testing.T) {
 		}
 		return dyns
 	}
-	bank, err := ports.NewBanked(4, 32)
+	bank, err := ports.NewBankedSelector(4, 32, ports.BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBankConflictsSlowBankedCache(t *testing.T) {
 		t.Errorf("bank-conflict stream: banked %d cycles vs ideal %d; expected >=2x gap",
 			sBank.Cycles, sIdeal.Cycles)
 	}
-	if bank.Conflicts == 0 {
+	if bank.Stats().Conflicts == 0 {
 		t.Error("expected bank conflicts")
 	}
 }
@@ -460,7 +460,7 @@ func TestLBICEndToEnd(t *testing.T) {
 		}
 		return a
 	}
-	bank, err := ports.NewBanked(2, 32)
+	bank, err := ports.NewBankedSelector(2, 32, ports.BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 	dyns := mixedStream(4000)
 	arbs := map[string]func() (ports.Arbiter, error){
 		"ideal-1": func() (ports.Arbiter, error) { return ports.NewIdeal(1) },
-		"bank-2":  func() (ports.Arbiter, error) { return ports.NewBanked(2, 32) },
+		"bank-2":  func() (ports.Arbiter, error) { return ports.NewBankedSelector(2, 32, ports.BitSelect) },
 		"lbic-2x2": func() (ports.Arbiter, error) {
 			return corelbic(2, 2)
 		},

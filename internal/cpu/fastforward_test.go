@@ -16,7 +16,7 @@ func ffArbs(t *testing.T) map[string]func() ports.Arbiter {
 	t.Helper()
 	return map[string]func() ports.Arbiter{
 		"ideal-2": func() ports.Arbiter { a, _ := ports.NewIdeal(2); return a },
-		"bank-4":  func() ports.Arbiter { a, _ := ports.NewBanked(4, 32); return a },
+		"bank-4":  func() ports.Arbiter { a, _ := ports.NewBankedSelector(4, 32, ports.BitSelect); return a },
 		"banksq-4": func() ports.Arbiter {
 			a, _ := ports.NewBankedSQ(4, 32, 0)
 			return a

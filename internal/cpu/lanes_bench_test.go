@@ -56,7 +56,7 @@ func BenchmarkLaneStep(b *testing.B) {
 					// Every lane runs the same port organization so the only
 					// thing that changes across K is how many lanes share
 					// each synthesized instruction.
-					arb, err := ports.NewBanked(4, 32)
+					arb, err := ports.NewBankedSelector(4, 32, ports.BitSelect)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -79,7 +79,7 @@ func arbiters(t testing.TB) []ports.Arbiter {
 		mk(ports.NewIdeal(1)),
 		mk(ports.NewIdeal(4)),
 		mk(ports.NewReplicated(2)),
-		mk(ports.NewBanked(4, 32)),
+		mk(ports.NewBankedSelector(4, 32, ports.BitSelect)),
 		mk(ports.NewBankedSelector(4, 32, ports.XorFold)),
 		mk(ports.NewBankedSelector(4, 32, ports.WordInterleave)),
 		lb,

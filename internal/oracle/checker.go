@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"lbic/internal/core"
 	"lbic/internal/isa"
 	"lbic/internal/ports"
 	"lbic/internal/trace"
@@ -361,32 +360,13 @@ func (c *Checker) Finish(final *vm.Memory) error {
 	return nil
 }
 
-// queueSource abstracts the two queue-backed arbiters for the FIFO monitor.
+// queueSource is what the FIFO monitor reads of an arbiter's queues;
+// *ports.Banks implements it.
 type queueSource interface {
-	banks() int
-	depth() int
-	lines(b int, dst []uint64) []uint64
+	Queues() int
+	QueueLines(q int, dst []uint64) []uint64
+	Params() ports.Params
 }
-
-type lbicQueues struct{ a *core.LBIC }
-
-func (q lbicQueues) banks() int                         { return q.a.Config().Banks }
-func (q lbicQueues) depth() int                         { return q.a.Config().StoreQueueDepth }
-func (q lbicQueues) lines(b int, dst []uint64) []uint64 { return q.a.StoreQueueLines(b, dst) }
-
-type bsqQueues struct{ a *ports.BankedSQ }
-
-func (q bsqQueues) banks() int                         { return q.a.Selector().Banks() }
-func (q bsqQueues) depth() int                         { return q.a.Depth() }
-func (q bsqQueues) lines(b int, dst []uint64) []uint64 { return q.a.StoreQueueLines(b, dst) }
-
-// codedQueues adapts the coded arbiter's per-group code-update queues (one
-// per parity bank) to the same FIFO monitor.
-type codedQueues struct{ a *ports.Coded }
-
-func (q codedQueues) banks() int                         { return q.a.Config().ParityBanks }
-func (q codedQueues) depth() int                         { return q.a.Depth() }
-func (q codedQueues) lines(b int, dst []uint64) []uint64 { return q.a.UpdateQueueLines(b, dst) }
 
 // queueMonitor snapshots every store queue each cycle and asserts FIFO
 // evolution: between consecutive cycles a queue either keeps its entries
@@ -398,23 +378,17 @@ type queueMonitor struct {
 	cur  [][]uint64
 }
 
-// newQueueMonitor returns a monitor for arb's store queues, or nil when the
-// organization has none.
+// newQueueMonitor returns a monitor for arb's queues — per-bank store
+// queues, or per-group code-update queues — or nil when the organization
+// has none.
 func newQueueMonitor(arb ports.Arbiter) *queueMonitor {
-	var src queueSource
-	switch a := arb.(type) {
-	case *core.LBIC:
-		src = lbicQueues{a}
-	case *ports.BankedSQ:
-		src = bsqQueues{a}
-	case *ports.Coded:
-		src = codedQueues{a}
-	default:
+	a, ok := arb.(*ports.Banks)
+	if !ok || a.Queues() == 0 {
 		return nil
 	}
-	n := src.banks()
+	n := a.Queues()
 	return &queueMonitor{
-		src:  src,
+		src:  a,
 		name: arb.Name(),
 		prev: make([][]uint64, n),
 		cur:  make([][]uint64, n),
@@ -436,11 +410,12 @@ func hasPrefix(q, prefix []uint64) bool {
 // check snapshots the queues after one Grant and validates the transition
 // from the previous cycle.
 func (m *queueMonitor) check(now uint64) error {
-	for b := 0; b < m.src.banks(); b++ {
-		m.cur[b] = m.src.lines(b, m.cur[b][:0])
-		if len(m.cur[b]) > m.src.depth() {
+	depth := m.src.Params().Depth
+	for b := 0; b < m.src.Queues(); b++ {
+		m.cur[b] = m.src.QueueLines(b, m.cur[b][:0])
+		if len(m.cur[b]) > depth {
 			return fmt.Errorf("cycle %d: %s bank %d store queue holds %d lines, capacity %d",
-				now, m.name, b, len(m.cur[b]), m.src.depth())
+				now, m.name, b, len(m.cur[b]), depth)
 		}
 		// A queue either keeps its entries (appending at the back) or —
 		// on an idle bank cycle, when nothing can enqueue — retires

@@ -63,29 +63,20 @@ func drainAll(t *testing.T, arb ports.Arbiter, refs []ports.Request) int {
 	return cycles
 }
 
-// queueDepthLeft returns the longest store queue of a queue-backed arbiter,
-// or 0.
+// queueDepthLeft returns the longest queue of a queue-backed arbiter (store
+// queues, or the coded organization's update queues), or 0.
 func queueDepthLeft(arb ports.Arbiter) int {
 	longest := 0
-	switch a := arb.(type) {
-	case *core.LBIC:
-		for b := 0; b < a.Config().Banks; b++ {
-			if n := a.StoreQueueLen(b); n > longest {
-				longest = n
-			}
-		}
-	case *ports.BankedSQ:
-		for b := 0; b < a.Selector().Banks(); b++ {
-			if n := a.StoreQueueLen(b); n > longest {
-				longest = n
-			}
+	if a, ok := arb.(*ports.Banks); ok {
+		for q := 0; q < a.Queues(); q++ {
+			longest = max(longest, a.QueueLen(q))
 		}
 	}
 	return longest
 }
 
-// flushQueues runs idle grant cycles until every store queue is empty;
-// banks drain in parallel, so depth+2 cycles must always suffice.
+// flushQueues runs idle grant cycles until every queue is empty; queues
+// drain in parallel, so depth+2 cycles must always suffice.
 func flushQueues(t *testing.T, arb ports.Arbiter, depth, startCycle int) {
 	t.Helper()
 	qm := newQueueMonitor(arb)
@@ -128,7 +119,7 @@ func FuzzArbiterGrant(f *testing.F) {
 			func() (ports.Arbiter, error) { return ports.NewIdeal(4) },
 			func() (ports.Arbiter, error) { return ports.NewVirtual(4) },
 			func() (ports.Arbiter, error) { return ports.NewReplicated(4) },
-			func() (ports.Arbiter, error) { return ports.NewBanked(4, fuzzLineSize) },
+			func() (ports.Arbiter, error) { return ports.NewBankedSelector(4, fuzzLineSize, ports.BitSelect) },
 			func() (ports.Arbiter, error) { return ports.NewBankedSQ(4, fuzzLineSize, 2) },
 			func() (ports.Arbiter, error) { return ports.NewMultiPortedBanks(2, 2, fuzzLineSize) },
 			func() (ports.Arbiter, error) {
@@ -136,6 +127,20 @@ func FuzzArbiterGrant(f *testing.F) {
 			},
 			func() (ports.Arbiter, error) {
 				return core.New(core.Config{Banks: 2, LinePorts: 4, LineSize: fuzzLineSize, Policy: core.PolicyGreedy})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 1, LineSize: fuzzLineSize})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 2, LineSize: fuzzLineSize,
+					UpdateQueueDepth: 1, Speculative: true})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 2, LineSize: fuzzLineSize, LinePorts: 2})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 8, ParityBanks: 2, LineSize: fuzzLineSize,
+					LinePorts: 4, Speculative: true})
 			},
 		}
 		idealCyc := 0
@@ -145,7 +150,7 @@ func FuzzArbiterGrant(f *testing.F) {
 				t.Fatal(err)
 			}
 			cyc := drainAll(t, arb, refs)
-			flushQueues(t, arb, core.DefaultStoreQueueDepth, cyc)
+			flushQueues(t, arb, ports.DefaultStoreQueueDepth, cyc)
 			if lower := ceilDiv(len(refs), arb.PeakWidth()); cyc < lower {
 				t.Fatalf("%s drained %d requests in %d cycles, below its bandwidth bound %d",
 					arb.Name(), len(refs), cyc, lower)
@@ -196,7 +201,7 @@ func FuzzCombining(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		banked, err := ports.NewBanked(4, fuzzLineSize)
+		banked, err := ports.NewBankedSelector(4, fuzzLineSize, ports.BitSelect)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +210,7 @@ func FuzzCombining(f *testing.F) {
 			t.Fatal(err)
 		}
 		cycLBIC := drainAll(t, lbic, refs)
-		flushQueues(t, lbic, core.DefaultStoreQueueDepth, cycLBIC)
+		flushQueues(t, lbic, ports.DefaultStoreQueueDepth, cycLBIC)
 		cycBank := drainAll(t, banked, refs)
 		cycIdeal := drainAll(t, ideal, refs)
 		if cycLBIC > cycBank {
@@ -221,10 +226,11 @@ func FuzzCombining(f *testing.F) {
 	})
 }
 
-// FuzzStoreQueue hammers the two queue-backed organizations with
-// store-heavy reference sets at randomized queue depths: queues must evolve
-// FIFO every cycle (checked inside drainAll), never exceed capacity, drain
-// fully on idle cycles, and starve nothing.
+// FuzzStoreQueue hammers the three queue-backed organizations (the LBIC,
+// banks with store queues, coded banks) with store-heavy reference sets at
+// randomized queue depths: queues must evolve FIFO every cycle (checked
+// inside drainAll), never exceed capacity, drain fully on idle cycles, and
+// starve nothing.
 func FuzzStoreQueue(f *testing.F) {
 	f.Add([]byte{1, 0xC0, 0xC4, 0xC8, 0xE0, 0xE4})       // store run on two lines
 	f.Add([]byte{2, 0xC0, 0x40, 0xC0, 0x40, 0xC0, 0x40}) // load/store interleave, one line
@@ -258,9 +264,14 @@ func FuzzStoreQueue(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cyc := drainAll(t, lbic, refs)
-		flushQueues(t, lbic, depth, cyc)
-		cyc = drainAll(t, bsq, refs)
-		flushQueues(t, bsq, depth, cyc)
+		coded, err := ports.NewCoded(ports.CodedConfig{Banks: 2, ParityBanks: 1, LineSize: fuzzLineSize,
+			UpdateQueueDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arb := range []ports.Arbiter{lbic, bsq, coded} {
+			cyc := drainAll(t, arb, refs)
+			flushQueues(t, arb, depth, cyc)
+		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"lbic/internal/core"
 	"lbic/internal/ports"
 )
 
@@ -46,27 +45,15 @@ type lineGroup struct {
 // NewGrantValidator returns a validator for arb.
 func NewGrantValidator(arb ports.Arbiter) *GrantValidator {
 	v := &GrantValidator{arb: arb, peak: arb.PeakWidth()}
-	switch a := arb.(type) {
-	case *ports.Banked:
-		v.grow(a.Selector().Banks())
-	case *ports.MultiPortedBanks:
-		v.grow(a.Selector().Banks())
-	case *ports.BankedSQ:
-		v.grow(a.Selector().Banks())
-	case *core.LBIC:
-		v.grow(a.Config().Banks)
-	case *ports.Coded:
-		v.grow(a.Config().Banks)
+	if a, ok := arb.(*ports.Banks); ok {
+		n := a.Params().Banks
+		v.used = make([]int, n)
+		v.aux = make([]int, n)
+		v.mark = make([]int, n)
+		v.seen = make([]bool, n)
+		v.lines = make([]uint64, n)
 	}
 	return v
-}
-
-func (v *GrantValidator) grow(banks int) {
-	v.used = make([]int, banks)
-	v.aux = make([]int, banks)
-	v.mark = make([]int, banks)
-	v.seen = make([]bool, banks)
-	v.lines = make([]uint64, banks)
 }
 
 // Validate checks one cycle's grant set against the ready list the arbiter
@@ -100,16 +87,19 @@ func (v *GrantValidator) Validate(now uint64, ready []ports.Request, granted []i
 		return v.comparePrefixN(now, n, granted)
 	case *ports.Replicated:
 		return v.validateReplicated(now, ready, granted)
-	case *ports.Banked:
-		return v.validateBanked(now, a.Selector(), 1, ready, granted)
-	case *ports.MultiPortedBanks:
-		return v.validateBanked(now, a.Selector(), a.PortsPerBank(), ready, granted)
-	case *ports.BankedSQ:
-		return v.validateBankedSQ(now, a, ready, granted)
-	case *core.LBIC:
-		return v.validateLBIC(now, a, ready, granted)
-	case *ports.Coded:
-		return v.validateCoded(now, a, ready, granted)
+	case *ports.Banks:
+		switch a.Params().Org {
+		case ports.OrgBank:
+			return v.validateBanked(now, a.Selector(), 1, ready, granted)
+		case ports.OrgMPB:
+			return v.validateBanked(now, a.Selector(), a.Params().PortsPerBank, ready, granted)
+		case ports.OrgBankSQ:
+			return v.validateBankedSQ(now, a, ready, granted)
+		case ports.OrgLBIC:
+			return v.validateLBIC(now, a, ready, granted)
+		case ports.OrgCoded:
+			return v.validateCoded(now, a, ready, granted)
+		}
 	}
 	return nil
 }
@@ -177,7 +167,7 @@ func (v *GrantValidator) validateBanked(now uint64, sel ports.BankSelector, perB
 // store-queue acceptance, so a second grant requires a store among them),
 // the oldest ready request of each bank always granted, and queues within
 // capacity.
-func (v *GrantValidator) validateBankedSQ(now uint64, a *ports.BankedSQ, ready []ports.Request, granted []int) error {
+func (v *GrantValidator) validateBankedSQ(now uint64, a *ports.Banks, ready []ports.Request, granted []int) error {
 	sel := a.Selector()
 	for i := range v.used {
 		v.used[i] = 0
@@ -199,9 +189,9 @@ func (v *GrantValidator) validateBankedSQ(now uint64, a *ports.BankedSQ, ready [
 			return fmt.Errorf("cycle %d: %s granted two loads in bank %d, but the second grant needs the store queue",
 				now, v.arb.Name(), b)
 		}
-		if q := a.StoreQueueLen(b); q > a.Depth() {
+		if q := a.QueueLen(b); q > a.Params().Depth {
 			return fmt.Errorf("cycle %d: %s bank %d store queue holds %d lines, capacity %d",
-				now, v.arb.Name(), b, q, a.Depth())
+				now, v.arb.Name(), b, q, a.Params().Depth)
 		}
 	}
 	return v.oldestPerBankGranted(now, sel, ready, granted)
@@ -212,8 +202,8 @@ func (v *GrantValidator) validateBankedSQ(now uint64, a *ports.BankedSQ, ready [
 // policy selects. Under the leading policy, and on the greedy policy's
 // rotation cycles, that is the oldest ready request's; otherwise it is the
 // greedy choice (see greedyOpened). Store queues stay within depth.
-func (v *GrantValidator) validateLBIC(now uint64, a *core.LBIC, ready []ports.Request, granted []int) error {
-	cfg := a.Config()
+func (v *GrantValidator) validateLBIC(now uint64, a *ports.Banks, ready []ports.Request, granted []int) error {
+	cfg := a.Params()
 	sel := a.Selector()
 	for i := range v.used {
 		v.used[i] = 0
@@ -234,12 +224,12 @@ func (v *GrantValidator) validateLBIC(now uint64, a *core.LBIC, ready []ports.Re
 		}
 	}
 	for b := 0; b < cfg.Banks; b++ {
-		if q := a.StoreQueueLen(b); q > cfg.StoreQueueDepth {
+		if q := a.QueueLen(b); q > cfg.Depth {
 			return fmt.Errorf("cycle %d: %s bank %d store queue holds %d lines, capacity %d",
-				now, v.arb.Name(), b, q, cfg.StoreQueueDepth)
+				now, v.arb.Name(), b, q, cfg.Depth)
 		}
 	}
-	if cfg.Policy == core.PolicyGreedy && now%core.GreedyRotate != 0 {
+	if cfg.Policy == ports.PolicyGreedy && now%ports.GreedyRotate != 0 {
 		return v.greedyOpened(now, a, ready, granted)
 	}
 	return v.oldestPerBankGranted(now, sel, ready, granted)
@@ -251,8 +241,8 @@ func (v *GrantValidator) validateLBIC(now uint64, a *core.LBIC, ready []ports.Re
 // that the first request of that group was granted. The groups are found by
 // a linear search over those seen so far, independent of the arbiter's own
 // grouping.
-func (v *GrantValidator) greedyOpened(now uint64, a *core.LBIC, ready []ports.Request, granted []int) error {
-	cfg := a.Config()
+func (v *GrantValidator) greedyOpened(now uint64, a *ports.Banks, ready []ports.Request, granted []int) error {
+	cfg := a.Params()
 	sel := a.Selector()
 	v.groups = v.groups[:0]
 	for i := range ready {
@@ -297,8 +287,8 @@ func (v *GrantValidator) greedyOpened(now uint64, a *core.LBIC, ready []ports.Re
 // reconstructed bank (the other members' ports are consumed by the code
 // read). Update queues stay within depth, and the oldest ready load of each
 // bank is always served unless a strict reconstruction consumed its port.
-func (v *GrantValidator) validateCoded(now uint64, a *ports.Coded, ready []ports.Request, granted []int) error {
-	cfg := a.Config()
+func (v *GrantValidator) validateCoded(now uint64, a *ports.Banks, ready []ports.Request, granted []int) error {
+	cfg := a.Params()
 	sel := a.Selector()
 	for b := 0; b < cfg.Banks; b++ {
 		v.used[b] = 0
@@ -344,9 +334,9 @@ func (v *GrantValidator) validateCoded(now uint64, a *ports.Coded, ready []ports
 		}
 	}
 	for g := 0; g < cfg.ParityBanks; g++ {
-		if q := a.UpdateQueueLen(g); q > a.Depth() {
+		if q := a.QueueLen(g); q > cfg.Depth {
 			return fmt.Errorf("cycle %d: %s group %d update queue holds %d lines, capacity %d",
-				now, v.arb.Name(), g, q, a.Depth())
+				now, v.arb.Name(), g, q, cfg.Depth)
 		}
 	}
 	gi := 0

@@ -84,7 +84,7 @@ var organizations = []struct {
 	{"ideal-4", func(ls int) (ports.Arbiter, error) { return ports.NewIdeal(4) }},
 	{"virt-4", func(ls int) (ports.Arbiter, error) { return ports.NewVirtual(4) }},
 	{"repl-4", func(ls int) (ports.Arbiter, error) { return ports.NewReplicated(4) }},
-	{"bank-4", func(ls int) (ports.Arbiter, error) { return ports.NewBanked(4, ls) }},
+	{"bank-4", func(ls int) (ports.Arbiter, error) { return ports.NewBankedSelector(4, ls, ports.BitSelect) }},
 	{"banksq-4", func(ls int) (ports.Arbiter, error) { return ports.NewBankedSQ(4, ls, 0) }},
 	{"mpb-2x2", func(ls int) (ports.Arbiter, error) { return ports.NewMultiPortedBanks(2, 2, ls) }},
 	{"lbic-4x2", func(ls int) (ports.Arbiter, error) {
@@ -317,9 +317,9 @@ func TestGrantValidator(t *testing.T) {
 			reqs([2]uint64{0, 1}, [2]uint64{8, 0}), []int{0, 1}, "broadcast"},
 		{"repl-ok", func() (ports.Arbiter, error) { return ports.NewReplicated(4) },
 			reqs([2]uint64{0, 1}, [2]uint64{8, 0}), []int{0}, ""},
-		{"bank-double", func() (ports.Arbiter, error) { return ports.NewBanked(4, lineSize) },
+		{"bank-double", func() (ports.Arbiter, error) { return ports.NewBankedSelector(4, lineSize, ports.BitSelect) },
 			reqs([2]uint64{0, 0}, [2]uint64{8, 0}), []int{0, 1}, "oldest first"},
-		{"bank-ok", func() (ports.Arbiter, error) { return ports.NewBanked(4, lineSize) },
+		{"bank-ok", func() (ports.Arbiter, error) { return ports.NewBankedSelector(4, lineSize, ports.BitSelect) },
 			reqs([2]uint64{0, 0}, [2]uint64{32, 0}), []int{0, 1}, ""},
 		{"mpb-over", func() (ports.Arbiter, error) { return ports.NewMultiPortedBanks(2, 2, lineSize) },
 			reqs([2]uint64{0, 0}, [2]uint64{8, 0}, [2]uint64{64, 0}), []int{0, 1, 2}, "oldest first"},
@@ -366,7 +366,7 @@ func TestGrantValidator(t *testing.T) {
 // the impostor's choice is the legal one.
 func TestGrantValidatorGreedyChoice(t *testing.T) {
 	shape := core.Config{Banks: 2, LinePorts: 2, LineSize: 32}
-	build := func(p core.Policy) *core.LBIC {
+	build := func(p core.Policy) *ports.Banks {
 		cfg := shape
 		cfg.Policy = p
 		a, err := core.New(cfg)
@@ -381,8 +381,8 @@ func TestGrantValidatorGreedyChoice(t *testing.T) {
 		{Seq: 3, Addr: 0x048}, // bank 0, line 2: a group of two
 		{Seq: 4, Addr: 0x020}, // bank 1, line 1
 	}
-	for _, now := range []uint64{1, core.GreedyRotate - 1, core.GreedyRotate, 3 * core.GreedyRotate} {
-		rotation := now%core.GreedyRotate == 0
+	for _, now := range []uint64{1, ports.GreedyRotate - 1, ports.GreedyRotate, 3 * ports.GreedyRotate} {
+		rotation := now%ports.GreedyRotate == 0
 		v := NewGrantValidator(build(core.PolicyGreedy))
 		impostor := build(core.PolicyLeading).Grant(now, ready, nil)
 		err := v.Validate(now, ready, impostor)
@@ -434,9 +434,9 @@ type fakeQueues struct {
 	q    []uint64
 }
 
-func (f *fakeQueues) banks() int                         { return f.n }
-func (f *fakeQueues) depth() int                         { return f.d }
-func (f *fakeQueues) lines(_ int, dst []uint64) []uint64 { return append(dst, f.q...) }
+func (f *fakeQueues) Queues() int                             { return f.n }
+func (f *fakeQueues) Params() ports.Params                    { return ports.Params{Depth: f.d} }
+func (f *fakeQueues) QueueLines(_ int, dst []uint64) []uint64 { return append(dst, f.q...) }
 
 func TestQueueMonitorRejectsNonFIFO(t *testing.T) {
 	f := &fakeQueues{n: 1, d: 4}

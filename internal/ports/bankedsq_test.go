@@ -16,11 +16,11 @@ func TestBankedSQLoadsBypassStores(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("grants = %v, want both (store queued, load via port)", got)
 	}
-	if a.StoreQueueLen(0) != 1 {
-		t.Errorf("queue = %d, want 1", a.StoreQueueLen(0))
+	if a.QueueLen(0) != 1 {
+		t.Errorf("queue = %d, want 1", a.QueueLen(0))
 	}
 	// Plain banked grants only one of the two.
-	plain, err := NewBanked(2, 32)
+	plain, err := NewBankedSelector(2, 32, BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestBankedSQOneAcceptancePerBank(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("grants = %v", got)
 	}
-	if a.DirectStores != 1 {
-		t.Errorf("direct stores = %d, want 1", a.DirectStores)
+	if a.Stats().DirectStores != 1 {
+		t.Errorf("direct stores = %d, want 1", a.Stats().DirectStores)
 	}
 	// A load behind them now conflicts (port taken by the direct store).
 	got = a.Grant(1, reqs(
@@ -59,7 +59,7 @@ func TestBankedSQOneAcceptancePerBank(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("grants = %v, want store+direct-store only", got)
 	}
-	if a.Conflicts == 0 {
+	if a.Stats().Conflicts == 0 {
 		t.Error("load should have conflicted with the direct store")
 	}
 }
@@ -70,15 +70,15 @@ func TestBankedSQDrainsOnIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Grant(0, reqs(Request{Addr: 0x100, Store: true}), nil)
-	if a.StoreQueueLen(0) != 1 {
+	if a.QueueLen(0) != 1 {
 		t.Fatal("store not queued")
 	}
 	a.Grant(1, nil, nil)
-	if a.StoreQueueLen(0) != 0 {
+	if a.QueueLen(0) != 0 {
 		t.Error("idle cycle should drain the queue")
 	}
-	if a.StoreDrains != 1 {
-		t.Errorf("drains = %d", a.StoreDrains)
+	if a.Stats().StoreDrains != 1 {
+		t.Errorf("drains = %d", a.Stats().StoreDrains)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestBankedSQCoalesces(t *testing.T) {
 	a.Grant(0, reqs(Request{Addr: 0x100, Store: true}), nil)
 	a.Grant(1, reqs(Request{Addr: 0x108, Store: true}), nil)
 	// Same line: coalesced, still one queued line minus one idle drain.
-	if n := a.StoreQueueLen(0); n > 1 {
+	if n := a.QueueLen(0); n > 1 {
 		t.Errorf("queue = %d after coalescing, want <= 1", n)
 	}
 }

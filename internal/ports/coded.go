@@ -1,11 +1,6 @@
 package ports
 
-import (
-	"fmt"
-	"strings"
-
-	"lbic/internal/trace"
-)
+import "fmt"
 
 // CodedConfig parameterizes the coded-banks organization.
 type CodedConfig struct {
@@ -30,63 +25,19 @@ type CodedConfig struct {
 	Speculative bool
 }
 
-// CodedStats aggregates a coded-banks run's counters.
-type CodedStats struct {
-	// Conflicts counts requests stalled on a busy bank with no
-	// reconstruction path available.
-	Conflicts uint64 `json:"conflicts"`
-	// Reconstructions counts second reads of a busy bank served through the
-	// parity code instead of stalling.
-	Reconstructions uint64 `json:"reconstructions"`
-	// CodeUpdates counts parity-update lines retired on idle parity-bank
-	// cycles — the write cost of keeping the code current.
-	CodeUpdates uint64 `json:"code_updates"`
-	// UpdateStalls counts stores stalled because their group's update queue
-	// could not accept another line this cycle.
-	UpdateStalls uint64 `json:"update_stalls"`
-	// StaleCode counts reconstructions blocked by pending code updates
-	// (non-speculative mode).
-	StaleCode uint64 `json:"stale_code,omitempty"`
-	// Replays counts speculative reconstructions squashed by stale code and
-	// retried the next cycle (speculative mode).
-	Replays uint64 `json:"replays,omitempty"`
-	// Combined counts same-line accesses served through the composed line
-	// buffers (LinePorts >= 2).
-	Combined uint64 `json:"combined,omitempty"`
-}
-
-// Coded emulates multi-ported reads on single-ported banks with XOR coding,
-// after "Achieving Multi-Port Memory Performance on Single-Port Memory with
-// Coding Techniques": P parity banks each store the XOR of a group of data
-// banks, so when two reads target the same busy bank in one cycle the second
-// is reconstructed by reading the other group members plus the parity bank —
-// consuming their idle ports — instead of stalling. The speculative variant
-// issues a single parity read and replays on conflict (stale code), per the
-// read-port-reduction follow-up. Writes pay a code-update cost: every store
-// enqueues its line on the group's update queue (coalescing by line, the
-// same slack machinery as BankedSQ's store queues) and the queue retires one
+// NewCoded returns a coded-banks arbiter, which emulates multi-ported reads
+// on single-ported banks with XOR coding, after "Achieving Multi-Port Memory
+// Performance on Single-Port Memory with Coding Techniques": P parity banks
+// each store the XOR of a group of data banks, so when two reads target the
+// same busy bank in one cycle the second is reconstructed by reading the
+// other group members plus the parity bank — consuming their idle ports —
+// instead of stalling. The speculative variant issues a single parity read
+// and replays on conflict (stale code), per the read-port-reduction
+// follow-up. Writes pay a code-update cost: every store enqueues its line on
+// the group's update queue (coalescing by line) and the queue retires one
 // line per idle parity-bank cycle; while updates are pending the group's
 // code is stale and cannot serve reconstructions.
-type Coded struct {
-	cfg       CodedConfig
-	sel       BankSelector
-	groupSize int
-
-	busy     []bool   // data bank port taken this cycle
-	open     []uint64 // line opened by the bank's leading grant
-	count    []int    // same-line grants in the bank this cycle (0 = consumed)
-	pbusy    []bool   // parity bank port taken (reconstruction) this cycle
-	accepted []bool   // an update entered this group's queue this cycle
-	updateQ  []LineQueue
-
-	stats        CodedStats
-	bankAccess   []uint64 // data banks, then parity banks
-	bankConflict []uint64
-	events       trace.EventSink
-}
-
-// NewCoded returns a coded-banks arbiter.
-func NewCoded(cfg CodedConfig) (*Coded, error) {
+func NewCoded(cfg CodedConfig) (*Banks, error) {
 	if cfg.UpdateQueueDepth == 0 {
 		cfg.UpdateQueueDepth = 8
 	}
@@ -106,219 +57,113 @@ func NewCoded(cfg CodedConfig) (*Coded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coded{
-		cfg:          cfg,
-		sel:          sel,
-		groupSize:    cfg.Banks / cfg.ParityBanks,
-		busy:         make([]bool, cfg.Banks),
-		open:         make([]uint64, cfg.Banks),
-		count:        make([]int, cfg.Banks),
-		pbusy:        make([]bool, cfg.ParityBanks),
-		accepted:     make([]bool, cfg.ParityBanks),
-		updateQ:      make([]LineQueue, cfg.ParityBanks),
-		bankAccess:   make([]uint64, cfg.Banks+cfg.ParityBanks),
-		bankConflict: make([]uint64, cfg.Banks+cfg.ParityBanks),
-	}, nil
-}
-
-// Config returns the construction parameters (depth default resolved).
-func (a *Coded) Config() CodedConfig { return a.cfg }
-
-// Selector returns the bank selection function.
-func (a *Coded) Selector() BankSelector { return a.sel }
-
-// GroupOf returns the parity group of data bank b.
-func (a *Coded) GroupOf(b int) int { return b / a.groupSize }
-
-// Stats returns the run's aggregate coded-banks counters.
-func (a *Coded) Stats() CodedStats { return a.stats }
-
-// Name implements Arbiter, matching the registry's name grammar.
-func (a *Coded) Name() string {
-	name := fmt.Sprintf("coded-%dx%d", a.cfg.Banks, a.cfg.ParityBanks)
-	if a.cfg.LinePorts >= 2 {
-		name += fmt.Sprintf("-lb%d", a.cfg.LinePorts)
+	name := fmt.Sprintf("coded-%dx%d", cfg.Banks, cfg.ParityBanks)
+	if cfg.LinePorts >= 2 {
+		name += fmt.Sprintf("-lb%d", cfg.LinePorts)
 	}
-	if a.cfg.Speculative {
+	if cfg.Speculative {
 		name += "-spec"
 	}
-	return name
+	// Every data bank can serve its line-buffer width (one access without
+	// combining) and every parity bank one reconstructed read.
+	peak := cfg.Banks*max(cfg.LinePorts, 1) + cfg.ParityBanks
+	return newBanks(Params{Org: OrgCoded, Banks: cfg.Banks, PortsPerBank: 1, LinePorts: cfg.LinePorts,
+		Depth: cfg.UpdateQueueDepth, ParityBanks: cfg.ParityBanks, Speculative: cfg.Speculative},
+		sel, name, peak), nil
 }
 
-// PeakWidth implements Arbiter: every data bank can serve its line-buffer
-// width (one access without combining) and every parity bank can serve one
-// reconstructed read.
-func (a *Coded) PeakWidth() int {
-	lp := a.cfg.LinePorts
-	if lp < 1 {
-		lp = 1
-	}
-	return a.cfg.Banks*lp + a.cfg.ParityBanks
-}
-
-// Quiescent implements Quiescer: with every update queue empty, an idle
-// cycle neither drains nor changes state.
-func (a *Coded) Quiescent() bool {
-	for g := range a.updateQ {
-		if a.updateQ[g].Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SetEventSink implements EventRecorder.
-func (a *Coded) SetEventSink(s trace.EventSink) { a.events = s }
-
-// BankAccesses implements BankObserver: grants per bank, data banks first,
-// then one slot per parity bank (reconstructed reads).
-func (a *Coded) BankAccesses() []uint64 { return append([]uint64(nil), a.bankAccess...) }
-
-// BankConflicts implements BankObserver: stalled requests per bank.
-func (a *Coded) BankConflicts() []uint64 { return append([]uint64(nil), a.bankConflict...) }
-
-// UpdateQueueLen returns the pending code-update lines of parity group g.
-func (a *Coded) UpdateQueueLen(g int) int { return a.updateQ[g].Len() }
-
-// UpdateQueueLines appends group g's queued lines, front first, to dst and
-// returns the extended slice.
-func (a *Coded) UpdateQueueLines(g int, dst []uint64) []uint64 {
-	return a.updateQ[g].Lines(dst)
-}
-
-// Depth returns the per-group code-update queue capacity.
-func (a *Coded) Depth() int { return a.cfg.UpdateQueueDepth }
-
-// DumpState implements StateDumper: per-group update-queue occupancy for
-// hang diagnostics.
-func (a *Coded) DumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", a.Name())
-	for g := range a.updateQ {
-		fmt.Fprintf(&b, " group%d[upd %d/%d]", g, a.updateQ[g].Len(), a.cfg.UpdateQueueDepth)
-	}
-	return b.String()
-}
-
-// conflict records a stalled request against data bank b.
-func (a *Coded) conflict(now uint64, r Request, b int, cause string) {
-	a.stats.Conflicts++
-	a.bankConflict[b]++
-	if a.events != nil {
-		a.events.Emit(trace.Event{Cycle: now, Kind: trace.EvConflict,
-			Seq: int64(r.Seq), Bank: b, Line: a.sel.LineOf(r.Addr), Cause: cause})
-	}
-}
-
-// acceptUpdate tries to publish a code update for line in group g: coalesced
-// into an already-pending line for free, otherwise one fresh line per group
-// per cycle while the queue has room.
-func (a *Coded) acceptUpdate(g int, line uint64) bool {
-	q := &a.updateQ[g]
+// acceptUpdate publishes a code update for line in group g: coalesced into
+// an already-pending line for free, otherwise one fresh line per group per
+// cycle while the queue has room.
+func (a *Banks) acceptUpdate(g int, line uint64) bool {
+	q, pc := &a.queues[g], &a.cyc[a.qbase+g]
 	if q.Contains(line) {
 		return true
 	}
-	if a.accepted[g] || q.Len() >= a.cfg.UpdateQueueDepth {
+	if pc.accepted || q.Len() >= a.p.Depth {
 		return false
 	}
 	q.Push(line)
-	a.accepted[g] = true
+	pc.accepted = true
 	return true
 }
 
-// Grant implements Arbiter, oldest first. The first request per data bank
-// takes the bank's port. A later same-line access combines through the
-// composed line buffer when LinePorts >= 2. Any other second read of a busy
-// bank attempts code reconstruction: the group's parity port must be free
-// and its code current (no pending updates); the non-speculative design
-// additionally requires — and consumes — every other group member's idle
-// port, while the speculative design reads only the parity bank and counts
-// a replay whenever stale code squashes the attempt. Stores must also
-// publish a code update; a full update queue stalls them. Idle parity banks
-// retire one queued update line per cycle.
-func (a *Coded) Grant(now uint64, ready []Request, dst []int) []int {
-	for b := range a.busy {
-		a.busy[b] = false
-		a.count[b] = 0
-	}
-	for g := range a.pbusy {
-		a.pbusy[g] = false
-		a.accepted[g] = false
-	}
+// grantCoded: the first request per data bank takes the bank's port. A later
+// same-line access combines through the composed line buffer when LinePorts
+// >= 2. Any other second read of a busy bank attempts code reconstruction:
+// the group's parity port must be free and its code current (no pending
+// updates); the non-speculative design additionally requires — and consumes
+// — every other group member's idle port, while the speculative design
+// reads only the parity bank and counts a replay whenever stale code
+// squashes the attempt. Stores must also publish a code update; a full
+// update queue stalls them. The parity bank of group g is cycle entry
+// Banks+g.
+func (a *Banks) grantCoded(now uint64, ready []Request, dst []int) []int {
 	for i := range ready {
-		r := ready[i]
+		r := &ready[i]
 		b := a.sel.BankOf(r.Addr)
 		g := b / a.groupSize
 		line := a.sel.LineOf(r.Addr)
-		if !a.busy[b] {
+		c := &a.cyc[b]
+		if !c.busy {
 			if r.Store && !a.acceptUpdate(g, line) {
 				a.stats.UpdateStalls++
-				a.conflict(now, r, b, "code-update")
+				a.stall(now, r, b, "code-update")
 				continue
 			}
-			a.busy[b] = true
-			a.open[b] = line
-			a.count[b] = 1
-			a.bankAccess[b]++
+			c.busy, c.open, c.count = true, line, 1
+			a.accesses[b]++
 			dst = append(dst, i)
 			continue
 		}
 		if r.Store {
-			a.conflict(now, r, b, "bank-busy")
+			a.stall(now, r, b, "bank-busy")
 			continue
 		}
-		if a.cfg.LinePorts >= 2 && a.count[b] >= 1 && line == a.open[b] && a.count[b] < a.cfg.LinePorts {
-			a.count[b]++
-			a.stats.Combined++
-			a.bankAccess[b]++
+		if a.p.LinePorts >= 2 && c.count >= 1 && line == c.open && int(c.count) < a.p.LinePorts {
+			c.count++
+			a.combine(now, r, b)
 			dst = append(dst, i)
 			continue
 		}
 		// Second read of a busy bank: reconstruct through group g's code.
-		if a.pbusy[g] {
-			a.conflict(now, r, b, "parity-busy")
+		pc := &a.cyc[a.qbase+g]
+		if pc.busy {
+			a.stall(now, r, b, "parity-busy")
 			continue
 		}
-		if a.updateQ[g].Len() > 0 {
-			if a.cfg.Speculative {
+		if a.queues[g].Len() > 0 {
+			if a.p.Speculative {
 				a.stats.Replays++
 			} else {
 				a.stats.StaleCode++
 			}
-			a.conflict(now, r, b, "stale-code")
+			a.stall(now, r, b, "stale-code")
 			continue
 		}
-		if !a.cfg.Speculative {
+		if !a.p.Speculative {
 			lo := g * a.groupSize
 			free := true
 			for o := lo; o < lo+a.groupSize; o++ {
-				if o != b && a.busy[o] {
+				if o != b && a.cyc[o].busy {
 					free = false
 					break
 				}
 			}
 			if !free {
-				a.conflict(now, r, b, "group-busy")
+				a.stall(now, r, b, "group-busy")
 				continue
 			}
 			for o := lo; o < lo+a.groupSize; o++ {
 				if o != b {
-					a.busy[o] = true
+					a.cyc[o].busy = true
 				}
 			}
 		}
-		a.pbusy[g] = true
+		pc.busy = true
 		a.stats.Reconstructions++
-		a.bankAccess[a.cfg.Banks+g]++
+		a.accesses[a.qbase+g]++
 		dst = append(dst, i)
-	}
-	// Idle parity banks (no reconstruction and no fresh update accepted this
-	// cycle) retire one queued code-update line.
-	for g := range a.updateQ {
-		if !a.pbusy[g] && !a.accepted[g] && a.updateQ[g].Len() > 0 {
-			a.updateQ[g].PopFront()
-			a.stats.CodeUpdates++
-		}
 	}
 	return dst
 }

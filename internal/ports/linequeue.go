@@ -28,6 +28,21 @@ func (q *LineQueue) Push(line uint64) {
 	q.buf = append(q.buf, line)
 }
 
+// Offer queues line unless it is queued already, where a store coalesces
+// into its entry (the queues are write-combining buffers, as in the PA8000
+// design the paper cites); a new line needs fewer than depth lines queued.
+// It reports whether line is queued.
+func (q *LineQueue) Offer(line uint64, depth int) bool {
+	if q.Contains(line) {
+		return true
+	}
+	if q.Len() >= depth {
+		return false
+	}
+	q.Push(line)
+	return true
+}
+
 // PopFront removes and returns the front line.
 func (q *LineQueue) PopFront() uint64 {
 	l := q.buf[q.head]

@@ -27,8 +27,8 @@ func TestMultiPortedBanksGrants(t *testing.T) {
 			t.Fatalf("grants = %v, want %v", got, want)
 		}
 	}
-	if a.Conflicts != 1 {
-		t.Errorf("conflicts = %d, want 1", a.Conflicts)
+	if a.Stats().Conflicts != 1 {
+		t.Errorf("conflicts = %d, want 1", a.Stats().Conflicts)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestMultiPortedBanksDegenerateCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank, err := NewBanked(4, 32)
+	bank, err := NewBankedSelector(4, 32, BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
-// Package ports implements the three conventional high-bandwidth cache port
-// organizations the paper evaluates in §3: ideal multi-porting (True),
-// multi-porting by replication (Repl, DEC 21164-style), and multi-banking
-// (Bank, MIPS R10000-style line-interleaved). The paper's proposed LBIC
-// arbiter lives in internal/core and shares this package's interface.
+// Package ports implements the cache port organizations: the three
+// conventional ones the paper evaluates in §3, ideal multi-porting (True),
+// multi-porting by replication (Repl, DEC 21164-style) and multi-banking
+// (Bank, MIPS R10000-style line-interleaved); the paper's proposed LBIC
+// (§5); and the extensions beside them (virtual multi-porting, banks with
+// store queues, multi-ported banks, coded banks). Every bank-organized
+// design is one type, Banks, whose organizations differ only in their
+// constructor and grant loop.
 package ports
 
-import (
-	"fmt"
-
-	"lbic/internal/trace"
-)
+import "fmt"
 
 // Request is one memory operation competing for a cache port this cycle.
 type Request struct {
@@ -40,27 +39,12 @@ type Arbiter interface {
 // Quiescer is implemented by arbiters that can prove they hold no deferred
 // work: given an empty ready list, Grant would neither return a grant nor
 // change observable state. Stateless designs are always quiescent; queueing
-// designs (LBIC, BankedSQ) are quiescent when every queue is empty. The core
-// only fast-forwards across idle cycles when the arbiter reports quiescence —
-// an arbiter that does not implement the interface disables fast-forward.
+// designs (the LBIC, banks with store queues, coded banks) are quiescent
+// when every queue is empty. The core only fast-forwards across idle cycles
+// when the arbiter reports quiescence — an arbiter that does not implement
+// the interface disables fast-forward.
 type Quiescer interface {
 	Quiescent() bool
-}
-
-// BankObserver is implemented by bank-organized arbiters that record
-// per-bank grant and conflict counts; run reports export them as the
-// per-bank histograms behind the paper's §3/§4 conflict characterization.
-// The returned slices are copies, indexed by bank.
-type BankObserver interface {
-	BankAccesses() []uint64
-	BankConflicts() []uint64
-}
-
-// EventRecorder is implemented by arbiters that can emit structured trace
-// events (conflicts with their causes, combines). The sink must be set
-// before the first Grant; a nil sink disables emission.
-type EventRecorder interface {
-	SetEventSink(s trace.EventSink)
 }
 
 // StateDumper is implemented by stateful arbiters that can describe their
@@ -141,13 +125,13 @@ func ParseSelectorKind(name string) (SelectorKind, error) {
 	return 0, fmt.Errorf("ports: unknown selector kind %q (have bit-select, xor-fold, word-interleave)", name)
 }
 
-// BankSelector maps addresses to banks.
+// BankSelector maps addresses to banks. It has at most four fields, so the
+// compiler keeps an inlined BankOf's copy of it in registers.
 type BankSelector struct {
 	kind     SelectorKind
 	lineBits uint
 	bankBits uint
 	bankMask uint64
-	banks    int
 }
 
 // NewBankSelector returns a bit-select selector for the given bank count and
@@ -171,11 +155,11 @@ func NewBankSelectorKind(banks, lineSize int, kind SelectorKind) (BankSelector, 
 	for 1<<bb < banks {
 		bb++
 	}
-	return BankSelector{kind: kind, lineBits: lb, bankBits: bb, bankMask: uint64(banks - 1), banks: banks}, nil
+	return BankSelector{kind: kind, lineBits: lb, bankBits: bb, bankMask: uint64(banks - 1)}, nil
 }
 
 // Banks returns the number of banks.
-func (s BankSelector) Banks() int { return s.banks }
+func (s BankSelector) Banks() int { return int(s.bankMask) + 1 }
 
 // Kind returns the selection function in use.
 func (s BankSelector) Kind() SelectorKind { return s.kind }

@@ -132,7 +132,7 @@ func TestReplicatedLoadsStopAtStore(t *testing.T) {
 }
 
 func TestBankedConflicts(t *testing.T) {
-	a, err := NewBanked(4, 32)
+	a, err := NewBankedSelector(4, 32, BitSelect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +154,16 @@ func TestBankedConflicts(t *testing.T) {
 			t.Fatalf("grants = %v, want %v", got, want)
 		}
 	}
-	if a.Conflicts != 2 {
-		t.Errorf("conflicts = %d, want 2", a.Conflicts)
+	if a.Stats().Conflicts != 2 {
+		t.Errorf("conflicts = %d, want 2", a.Stats().Conflicts)
 	}
-	if a.SameLineConflicts != 1 {
-		t.Errorf("same-line conflicts = %d, want 1", a.SameLineConflicts)
+	if a.Stats().SameLineConflicts != 1 {
+		t.Errorf("same-line conflicts = %d, want 1", a.Stats().SameLineConflicts)
 	}
 }
 
 func TestBankedYoungerRequestBypassesBusyBank(t *testing.T) {
-	a, _ := NewBanked(2, 32)
+	a, _ := NewBankedSelector(2, 32, BitSelect)
 	ready := reqs(
 		Request{Addr: 0x000}, // bank 0
 		Request{Addr: 0x040}, // bank 0: stalls
@@ -176,7 +176,7 @@ func TestBankedYoungerRequestBypassesBusyBank(t *testing.T) {
 }
 
 func TestBankedOneGrantPerBankQuick(t *testing.T) {
-	a, _ := NewBanked(4, 32)
+	a, _ := NewBankedSelector(4, 32, BitSelect)
 	sel := a.Selector()
 	f := func(addrs []uint32, stores []bool) bool {
 		ready := make([]Request, 0, len(addrs))
@@ -217,7 +217,7 @@ func TestOldestAlwaysGrantedQuick(t *testing.T) {
 	if a, err := NewReplicated(2); err == nil {
 		arbs = append(arbs, a)
 	}
-	if a, err := NewBanked(4, 32); err == nil {
+	if a, err := NewBankedSelector(4, 32, BitSelect); err == nil {
 		arbs = append(arbs, a)
 	}
 	f := func(addrs []uint32, stores []bool) bool {
@@ -252,7 +252,7 @@ func TestArbiterConstructorsReject(t *testing.T) {
 	if _, err := NewReplicated(-1); err == nil {
 		t.Error("NewReplicated(-1) should fail")
 	}
-	if _, err := NewBanked(5, 32); err == nil {
-		t.Error("NewBanked(5,32) should fail")
+	if _, err := NewBankedSelector(5, 32, BitSelect); err == nil {
+		t.Error("NewBankedSelector(5,32, BitSelect) should fail")
 	}
 }

@@ -75,7 +75,7 @@ func TestBankedSelectorNames(t *testing.T) {
 	if a.Name() != "bank-4-xor-fold" {
 		t.Errorf("Name() = %q", a.Name())
 	}
-	b, _ := NewBanked(4, 32)
+	b, _ := NewBankedSelector(4, 32, BitSelect)
 	if b.Name() != "bank-4" {
 		t.Errorf("Name() = %q", b.Name())
 	}

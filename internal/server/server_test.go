@@ -180,6 +180,13 @@ func TestSimulateValidation(t *testing.T) {
 		{"line buffer wider than an override's line", client.SimulateRequest{Benchmark: "compress", Port: client.Port("lbic-4x4"),
 			Insts: 1000, Mem: &narrowLine},
 			"combining width 4 exceeds the 2 four-byte words of a 8-byte line"},
+		// Fields outside the kind's schema: the run would ignore them, yet
+		// they would reach the report and the result-cache key.
+		{"field outside the kind's schema", client.SimulateRequest{Benchmark: "compress",
+			Port: client.PortOf(lbic.PortConfig{Kind: lbic.BankedStoreQueue, Banks: 4, Selector: lbic.WordInterleave}), Insts: 1000},
+			"a banksq port takes no selector"},
+		{"depth suffix on a kind without queues", client.SimulateRequest{Benchmark: "compress", Port: client.Port("true-4-sq8"), Insts: 1000},
+			"a true port takes no store_queue_depth"},
 	}
 	for _, tc := range cases {
 		_, err := c.Simulate(ctx, tc.req)

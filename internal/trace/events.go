@@ -34,10 +34,11 @@ const (
 	EvWrite  = "write"
 	// EvConflict is a request stalled by its port organization; Cause names
 	// why ("bank-busy", "same-line", "line-conflict", "port-saturation",
-	// "store-queue-full", "greedy-bypass").
+	// "store-queue-full", "greedy-bypass", and the coded organization's
+	// "code-update", "parity-busy", "stale-code", "group-busy").
 	EvConflict = "conflict"
 	// EvCombine is a request granted by combining with a leading same-line
-	// request in an LBIC line buffer.
+	// request in a line buffer (the LBIC's, or a coded organization's).
 	EvCombine = "combine"
 	// EvMiss is an L1 demand miss allocating an MSHR.
 	EvMiss = "miss"

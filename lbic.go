@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"lbic/internal/cache"
-	"lbic/internal/core"
 	"lbic/internal/cpu"
 	"lbic/internal/emu"
 	"lbic/internal/isa"
@@ -66,7 +65,7 @@ type (
 	// Distribution is a Figure 3 consecutive-reference histogram.
 	Distribution = refstream.Distribution
 	// LBICStats reports combining activity of an LBIC run.
-	LBICStats = core.Stats
+	LBICStats = ports.LBICStats
 	// CodedStats reports reconstruction and code-update activity of a
 	// coded-banks run.
 	CodedStats = ports.CodedStats
@@ -374,7 +373,7 @@ func buildArbiter(p PortConfig, lineSize int) (ports.Arbiter, error) {
 	if !ok {
 		return nil, fmt.Errorf("lbic: unknown port kind %d", p.Kind)
 	}
-	if err := p.checkSize(o); err != nil {
+	if err := p.checkFields(o); err != nil {
 		return nil, err
 	}
 	return o.build(p, lineSize)

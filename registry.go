@@ -2,10 +2,10 @@ package lbic
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"lbic/internal/core"
 	"lbic/internal/ports"
 )
 
@@ -47,9 +47,10 @@ type portOrg struct {
 	build func(p PortConfig, lineSize int) (ports.Arbiter, error)
 	// report flattens the kind-specific fields into a ReportPort.
 	report func(p PortConfig, rp *ReportPort)
-	// collect extracts kind-specific stats from a finished arbiter into the
-	// Result; nil for kinds without extra stats.
-	collect func(arb ports.Arbiter, res *Result)
+	// collect copies a finished bank-organized arbiter's kind-specific
+	// stats into the Result and adds their histograms to its Metrics; nil
+	// for kinds without any.
+	collect func(a *ports.Banks, res *Result)
 	// axis holds the kind's representative configurations for the
 	// experiments port axes; empty keeps the kind out of the default axes.
 	axis []PortConfig
@@ -116,9 +117,9 @@ func portTokens() []string {
 // PortNameExamples renders the ParsePortName grammar for error and usage
 // text: one name per wire kind, in registration order, from the kind's own
 // name rule applied to its first axis (else samples) configuration, then the
-// store-queue suffix every name may carry.
+// kinds whose schema takes the -sqD queue-depth suffix.
 func PortNameExamples() string {
-	var names []string
+	var names, sq []string
 	for _, k := range portOrgOrder {
 		o := portOrgs[k]
 		if !o.wire {
@@ -129,8 +130,12 @@ func PortNameExamples() string {
 			example = o.samples
 		}
 		names = append(names, o.name(example[0]))
+		if slices.Contains(o.schema, "store_queue_depth") {
+			sq = append(sq, o.token)
+		}
 	}
-	return strings.Join(names, ", ") + "; any with an optional -sqD store-queue depth suffix"
+	return fmt.Sprintf("%s; only %s names take an optional -sqD store-queue depth suffix",
+		strings.Join(names, ", "), strings.Join(sq, ", "))
 }
 
 // PortOrgInfo describes one registered port organization, for tooling that
@@ -291,10 +296,11 @@ func init() {
 			rp.Banks = p.Banks
 			rp.Selector = p.Selector.String()
 		},
-		collect: func(arb ports.Arbiter, res *Result) {
-			if a, ok := arb.(*ports.Banked); ok {
-				res.BankConflicts = a.Conflicts
-			}
+		collect: func(a *ports.Banks, res *Result) {
+			res.BankConflicts = a.Stats().Conflicts
+			addHistogram(res.Metrics, "port.bank_same_line_conflicts",
+				"stalled requests whose line was already open in the bank (§4 same-line share)",
+				"bank", a.BankSameLineConflicts())
 		},
 		axis: []PortConfig{BankedPort(4), bankedXor},
 	})
@@ -337,11 +343,11 @@ func init() {
 		},
 		peak: func(p PortConfig) int { return p.Banks * p.LinePorts },
 		build: func(p PortConfig, lineSize int) (ports.Arbiter, error) {
-			policy := core.PolicyLeading
+			policy := ports.PolicyLeading
 			if p.Greedy {
-				policy = core.PolicyGreedy
+				policy = ports.PolicyGreedy
 			}
-			return core.New(core.Config{
+			return ports.NewLBIC(ports.LBICConfig{
 				Banks:           p.Banks,
 				LinePorts:       p.LinePorts,
 				LineSize:        lineSize,
@@ -354,11 +360,12 @@ func init() {
 			rp.LinePorts = p.LinePorts
 			rp.Greedy = p.Greedy
 		},
-		collect: func(arb ports.Arbiter, res *Result) {
-			if a, ok := arb.(*core.LBIC); ok {
-				ls := a.Stats()
-				res.LBIC = &ls
-			}
+		collect: func(a *ports.Banks, res *Result) {
+			ls := a.Stats().LBICStats
+			res.LBIC = &ls
+			addHistogram(res.Metrics, "lbic.combine_width",
+				"bank-cycles by number of same-line accesses served (width 1 = no combining)",
+				"width", a.CombineWidths())
 		},
 		axis:    []PortConfig{LBICPort(4, 2), LBICPort(4, 4)},
 		samples: []PortConfig{greedy},
@@ -487,18 +494,9 @@ func init() {
 			if p.LinePorts == 1 || p.LinePorts < 0 {
 				return fmt.Errorf("lbic: coded line ports %d (want 0 for no combining, or >= 2)", p.LinePorts)
 			}
-			if p.Selector != BitSelect {
-				return fmt.Errorf("lbic: coded banks require bit-select line interleaving")
-			}
 			return nil
 		},
-		peak: func(p PortConfig) int {
-			lp := p.LinePorts
-			if lp < 1 {
-				lp = 1
-			}
-			return p.Banks*lp + p.ParityBanks
-		},
+		peak: func(p PortConfig) int { return p.Banks*max(p.LinePorts, 1) + p.ParityBanks },
 		build: func(p PortConfig, lineSize int) (ports.Arbiter, error) {
 			return ports.NewCoded(ports.CodedConfig{
 				Banks:            p.Banks,
@@ -515,11 +513,13 @@ func init() {
 			rp.LinePorts = p.LinePorts
 			rp.Speculative = p.Speculative
 		},
-		collect: func(arb ports.Arbiter, res *Result) {
-			if a, ok := arb.(*ports.Coded); ok {
-				cs := a.Stats()
-				res.Coded = &cs
-			}
+		collect: func(a *ports.Banks, res *Result) {
+			cs := a.Stats().Coded()
+			res.Coded = &cs
+			h := addHistogram(res.Metrics, "coded.activity",
+				"coded-banks events: reconstructed reads, retired code updates, update stalls, stale-code squashes, combined accesses",
+				"", []uint64{cs.Reconstructions, cs.CodeUpdates, cs.UpdateStalls, cs.StaleCode + cs.Replays, cs.Combined})
+			h.BucketNames = []string{"reconstructions", "code_updates", "update_stalls", "stale_code", "combined"}
 		},
 		axis:    []PortConfig{CodedPort(4, 1)},
 		samples: []PortConfig{CodedPort(4, 2), codedSpec, codedComposed, codedBoth},

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"lbic/internal/cache"
-	"lbic/internal/core"
 	"lbic/internal/cpu"
 	"lbic/internal/metrics"
 	"lbic/internal/ports"
@@ -185,43 +184,23 @@ func buildMetricsRegistry(c *cpu.Core, hier *cache.Hierarchy, arb ports.Arbiter,
 	reg.AddGauge(c.OccupancyGauges()...)
 	reg.AddHistogram(hier.MSHROccupancy())
 
-	if bo, ok := arb.(ports.BankObserver); ok {
-		fill := func(name, help string, vec []uint64) {
-			h := reg.Histogram(name, help, "bank", len(vec))
-			for b, n := range vec {
-				h.ObserveN(b, n)
-			}
-		}
-		fill("port.bank_accesses", "grants per bank (load balance across banks)", bo.BankAccesses())
-		fill("port.bank_conflicts", "requests stalled per bank (the §3 conflict characterization)", bo.BankConflicts())
-		if ba, ok := arb.(*ports.Banked); ok {
-			fill("port.bank_same_line_conflicts",
-				"stalled requests whose line was already open in the bank (§4 same-line share)",
-				ba.BankSameLineConflicts())
-		}
-	}
-	if l, ok := arb.(*core.LBIC); ok {
-		widths := l.CombineWidths()
-		h := reg.Histogram("lbic.combine_width",
-			"bank-cycles by number of same-line accesses served (width 1 = no combining)",
-			"width", len(widths))
-		for w, n := range widths {
-			h.ObserveN(w, n)
-		}
-	}
-	if cd, ok := arb.(*ports.Coded); ok {
-		cs := cd.Stats()
-		h := reg.Histogram("coded.activity",
-			"coded-banks events: reconstructed reads, retired code updates, update stalls, stale-code squashes, combined accesses",
-			"", 5)
-		h.BucketNames = []string{"reconstructions", "code_updates", "update_stalls", "stale_code", "combined"}
-		h.ObserveN(0, cs.Reconstructions)
-		h.ObserveN(1, cs.CodeUpdates)
-		h.ObserveN(2, cs.UpdateStalls)
-		h.ObserveN(3, cs.StaleCode+cs.Replays)
-		h.ObserveN(4, cs.Combined)
+	if a, ok := arb.(*ports.Banks); ok {
+		addHistogram(reg, "port.bank_accesses", "grants per bank (load balance across banks)",
+			"bank", a.BankAccesses())
+		addHistogram(reg, "port.bank_conflicts", "requests stalled per bank (the §3 conflict characterization)",
+			"bank", a.BankConflicts())
 	}
 	return reg
+}
+
+// addHistogram adds a histogram with one bucket per element of vec, in
+// order, and returns it.
+func addHistogram(reg *metrics.Registry, name, help, label string, vec []uint64) *metrics.Histogram {
+	h := reg.Histogram(name, help, label, len(vec))
+	for i, n := range vec {
+		h.ObserveN(i, n)
+	}
+	return h
 }
 
 // CPUStatsTable renders the processor counters as a table — the `lbicsim

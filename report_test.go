@@ -3,8 +3,10 @@ package lbic
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -243,5 +245,106 @@ func TestEventTraceDeterministic(t *testing.T) {
 	b := collectEvents(t, LBICPort(2, 2))
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different event traces")
+	}
+}
+
+// digestSources are the streams TestSampleReportDigests runs every registry
+// sample on: two kernels and the same-line burst pattern.
+var digestSources = []string{"compress", "swim", "same-line-burst"}
+
+// TestSampleReportDigests pins the whole run report of every portSamples()
+// configuration on digestSources at 5,000 instructions: counters, per-bank
+// histograms, combining widths and kind-specific stats. Each report is
+// hashed (SHA-256) and compared with testdata/report_digests.txt, which only
+// -update rewrites.
+func TestSampleReportDigests(t *testing.T) {
+	var got strings.Builder
+	for _, src := range digestSources {
+		prog, err := BuildBenchmark(src)
+		if err != nil {
+			prog, err = BuildPattern(src)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, port := range portSamples() {
+			cfg := DefaultConfig()
+			cfg.Port, cfg.MaxInsts = port, 5_000
+			res, err := Simulate(context.Background(), ProgramSource(prog), cfg)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", src, port.Key(), err)
+			}
+			var buf bytes.Buffer
+			if err := NewReport(res).WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s/%s %x\n", src, port.Key(), sha256.Sum256(buf.Bytes()))
+		}
+	}
+	golden := filepath.Join("testdata", "report_digests.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run TestSampleReportDigests -update` to create it)", err)
+	}
+	wl := strings.Split(string(want), "\n")
+	for i, line := range strings.Split(got.String(), "\n") {
+		if i >= len(wl) || line != wl[i] {
+			t.Errorf("report digest line %d = %q, want %q (-update to regenerate)", i+1, line, wl[min(i, len(wl)-1)])
+		}
+	}
+	if g := strings.Count(got.String(), "\n"); g != len(wl)-1 {
+		t.Errorf("%d report digests, golden has %d", g, len(wl)-1)
+	}
+}
+
+// eventCounter counts the conflict and combine events of a run.
+type eventCounter struct{ conflicts, combines uint64 }
+
+func (c *eventCounter) Emit(e Event) {
+	switch e.Kind {
+	case "conflict":
+		c.conflicts++
+	case "combine":
+		c.combines++
+	}
+}
+
+// TestEventsMatchCounters: every stall and every combine an arbiter counts
+// reaches the event trace. For every registry sample on compress, the
+// conflict events equal the port.bank_conflicts total, and the combine
+// events equal the LBIC's or the coded organization's Combined counter.
+func TestEventsMatchCounters(t *testing.T) {
+	prog, err := BuildBenchmark("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, port := range portSamples() {
+		t.Run(port.Key(), func(t *testing.T) {
+			var n eventCounter
+			cfg := DefaultConfig()
+			cfg.Port, cfg.MaxInsts, cfg.Events = port, 5_000, &n
+			res, err := Simulate(context.Background(), ProgramSource(prog), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := n.conflicts, res.PortConflicts(); got != want {
+				t.Errorf("%d conflict events, port.bank_conflicts counts %d", got, want)
+			}
+			var combined uint64
+			switch {
+			case res.LBIC != nil:
+				combined = res.LBIC.Combined
+			case res.Coded != nil:
+				combined = res.Coded.Combined
+			}
+			if n.combines != combined {
+				t.Errorf("%d combine events, the counters combined %d", n.combines, combined)
+			}
+		})
 	}
 }

@@ -263,8 +263,8 @@ func (s *sim) wireCore(stream trace.Stream, cfg Config) error {
 	if cfg.Events != nil {
 		c.SetEventSink(cfg.Events)
 		s.hier.SetEventSink(cfg.Events)
-		if er, ok := s.arb.(ports.EventRecorder); ok {
-			er.SetEventSink(cfg.Events)
+		if a, ok := s.arb.(*ports.Banks); ok {
+			a.SetEventSink(cfg.Events)
 		}
 	}
 	if cfg.Pipeline != nil {
@@ -295,8 +295,8 @@ func (m *machines) result(name string, cfg Config, s *sim, st cpu.Stats) Result 
 		Mem:       s.hier.Stats(),
 		Metrics:   buildMetricsRegistry(s.core, s.hier, s.arb, st),
 	}
-	if o, ok := portOrgFor(cfg.Port.Kind); ok && o.collect != nil {
-		o.collect(s.arb, &res)
+	if o, _ := portOrgFor(cfg.Port.Kind); o.collect != nil {
+		o.collect(s.arb.(*ports.Banks), &res)
 	}
 	if s.check != nil {
 		sum := s.check.Summary()

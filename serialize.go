@@ -2,6 +2,8 @@ package lbic
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -111,15 +113,24 @@ func (p PortConfig) Validate() error {
 	if !ok {
 		return fmt.Errorf("lbic: unknown port kind %d", int(p.Kind))
 	}
-	if err := p.checkSize(o); err != nil {
+	if err := p.checkFields(o); err != nil {
 		return err
 	}
 	return o.validate(p)
 }
 
-// checkSize enforces maxPortSize on every dimension and on the peak width.
-// Validate and the arbiter build both apply it.
-func (p PortConfig) checkSize(o *portOrg) error {
+// checkFields rejects a set field outside the kind's schema — the machine
+// would ignore it, yet it would reach reports and cache keys — and enforces
+// maxPortSize on every dimension and on the peak width. Validate and the
+// arbiter build both apply it.
+func (p PortConfig) checkFields(o *portOrg) error {
+	v := reflect.ValueOf(p)
+	for i := 0; i < v.NumField(); i++ {
+		name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+		if name != "" && !v.Field(i).IsZero() && !slices.Contains(o.schema, name) {
+			return fmt.Errorf("lbic: a %s port takes no %s (its fields: %s)", o.token, name, strings.Join(o.schema, ", "))
+		}
+	}
 	for _, dim := range []struct {
 		name string
 		n    int
