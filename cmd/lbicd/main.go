@@ -43,7 +43,6 @@ func main() {
 		jobs         = flag.Int("jobs", 0, "max concurrently executing cells (0 = GOMAXPROCS)")
 		queueLimit   = flag.Int("queue", 1024, "max admitted-but-unfinished cells before 429 (-1 = unlimited)")
 		cellTimeout  = flag.Duration("cell-timeout", 5*time.Minute, "per-cell deadline (0 = none)")
-		retries      = flag.Int("retries", 0, "re-attempts for failed (non-timeout) cells")
 		traceCacheMB = flag.Int64("trace-cache-mb", 256, "trace cache budget in MiB (-1 = disable)")
 		resultMB     = flag.Int64("result-cache-mb", 64, "result cache budget in MiB (-1 = disable)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful drain deadline on SIGTERM")
@@ -77,7 +76,6 @@ func main() {
 		MaxParallel:      *jobs,
 		QueueLimit:       *queueLimit,
 		CellTimeout:      cellT,
-		Retries:          *retries,
 		TraceCacheBytes:  mb(*traceCacheMB),
 		ResultCacheBytes: mb(*resultMB),
 		Log:              log,

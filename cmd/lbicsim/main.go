@@ -127,13 +127,16 @@ func main() {
 	}
 
 	exclusive := 0
+	if set["bench"] {
+		exclusive++
+	}
 	for _, s := range []string{*pattern, *genSpec, *traceIn, *asmPath} {
 		if s != "" {
 			exclusive++
 		}
 	}
 	if exclusive > 1 {
-		fatal(fmt.Errorf("-pattern, -gen, -trace-in and -asm are mutually exclusive"))
+		fatal(fmt.Errorf("-bench, -pattern, -gen, -trace-in and -asm are mutually exclusive"))
 	}
 	if *pipeline != "" {
 		view, err := parsePipeline(*pipeline)

@@ -77,6 +77,20 @@ func TestPortTakesRegistryNamesOnly(t *testing.T) {
 	}
 }
 
+// TestSourcesAreExclusive: a run has one source, so naming two — an
+// explicit -bench included — is an error, not a silent pick.
+func TestSourcesAreExclusive(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pattern", "unit-stride", "-gen", "zipf"},
+		{"-bench", "swim", "-pattern", "unit-stride"},
+	} {
+		stdout, stderr, status := lbicsim(t, append(args, "-insts", "2000")...)
+		if status != 1 || stdout != "" || !strings.Contains(stderr, args[0]+", ") || !strings.Contains(stderr, "mutually exclusive") {
+			t.Errorf("%v: exit %d, %q; want exit 1 naming %s among exclusive sources", args, status, stderr, args[0])
+		}
+	}
+}
+
 // TestPipelinePrintsBeforeSummary checks the timeline rows are the golden
 // bytes, followed by a blank line and the usual summary.
 func TestPipelinePrintsBeforeSummary(t *testing.T) {

@@ -10,12 +10,13 @@
 //	lbictables -all -insts 2000000
 //
 // Sweeps run cells in parallel (-jobs) with per-cell fault isolation: a
-// panicking or hung simulation costs one table cell (rendered ERR, detailed
-// in a stderr appendix), not the run. -timeout bounds each cell, -keep-going
-// renders every table even when cells fail, and -journal FILE -resume
-// checkpoints completed cells so an interrupted sweep reruns only what is
-// missing. The first ^C stops launching new cells and renders what finished;
-// a second ^C aborts.
+// panicking or hung simulation costs its own cells (rendered ERR, detailed in
+// a stderr appendix), not the run. -timeout bounds each cell and -keep-going
+// renders every table even when cells fail. Each cell runs once: cells are
+// deterministic, so a failed cell would fail again. Every cell streams
+// through one trace cache (-trace-cache-mb), which records each program once
+// per budget. The first ^C stops launching new cells and renders what
+// finished; a second ^C aborts.
 package main
 
 import (
@@ -26,12 +27,10 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"lbic"
 	"lbic/internal/experiments"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -48,15 +47,9 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "cells simulated concurrently")
 		timeout    = flag.Duration("timeout", 0, "per-cell time limit (0 = none)")
-		retries    = flag.Int("retries", 1, "re-attempts for failed (non-timeout) cells")
 		keepGoing  = flag.Bool("keep-going", false, "render tables with ERR cells instead of stopping at the first failure")
-		journalP   = flag.String("journal", "", "checkpoint completed cells to this file")
-		resume     = flag.Bool("resume", false, "serve cells already in -journal from the checkpoint")
-		injPanic   = flag.String("inject-panic", "", "comma-separated key substrings whose cells panic (fault-injection testing)")
-		injHang    = flag.String("inject-hang", "", "comma-separated key substrings whose cells hang (fault-injection testing)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile on exit to this file")
-		noTrace    = flag.Bool("no-trace-cache", false, "re-execute the emulator for every cell instead of replaying recorded traces")
 		traceMB    = flag.Int("trace-cache-mb", 256, "trace cache memory budget in MiB")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of every sweep cell's spans to this file (load in chrome://tracing)")
 	)
@@ -64,10 +57,6 @@ func main() {
 
 	if !*all && !*ablations && !*workloads && *table == 0 && *figure == 0 {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *resume && *journalP == "" {
-		fmt.Fprintln(os.Stderr, "lbictables: -resume requires -journal FILE")
 		os.Exit(2)
 	}
 	if *cpuProfile != "" {
@@ -96,17 +85,10 @@ func main() {
 	}
 
 	sw := experiments.NewSweep(*insts)
-	if !*noTrace {
-		// Record each benchmark's dynamic trace once and replay it for every
-		// port organization; tables are byte-identical either way.
-		sw.Trace = lbic.NewTraceCache(int64(*traceMB) << 20)
-	}
+	sw.Trace = lbic.NewTraceCache(int64(*traceMB) << 20)
 	sw.Jobs = *jobs
 	sw.Timeout = *timeout
-	sw.Retries = *retries
 	sw.KeepGoing = *keepGoing
-	sw.InjectPanic = splitList(*injPanic)
-	sw.InjectHang = splitList(*injHang)
 	if *traceOut != "" {
 		sw.Spans = lbic.NewRequestTrace()
 		defer func() {
@@ -126,22 +108,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "  FAIL %s: %v\n", key, err)
 			}
 		}
-	}
-
-	if *journalP != "" {
-		j, err := runner.OpenJournal(*journalP, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := j.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "lbictables:", err)
-			}
-		}()
-		if *resume && !*quiet {
-			fmt.Fprintf(os.Stderr, "resuming: %d cells checkpointed in %s\n", j.Resumed(), *journalP)
-		}
-		sw.Journal = j
 	}
 
 	// Two-stage interrupt: the first ^C requests graceful shutdown (in-flight
@@ -239,10 +205,14 @@ func main() {
 	}
 	if *ablations {
 		note("ablation studies")
-		budget := *insts
-		if budget > experiments.AblationInsts && *insts == experiments.DefaultInsts {
-			budget = experiments.AblationInsts
-		}
+		// The ablations default to their own smaller budget; an explicit
+		// -insts, the default's value included, overrides it.
+		budget := uint64(experiments.AblationInsts)
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "insts" {
+				budget = *insts
+			}
+		})
 		tables, err := experiments.Ablations(sw.WithInsts(budget), progress)
 		if err != nil {
 			fatal(err)
@@ -252,7 +222,7 @@ func main() {
 		}
 	}
 
-	if sw.Trace != nil && !*quiet {
+	if !*quiet {
 		ts := sw.Trace.Stats()
 		fmt.Fprintf(os.Stderr,
 			"trace cache: %d recordings, %d replays, %.1f MiB peak (%d evicted)\n",
@@ -261,29 +231,13 @@ func main() {
 
 	// Failure appendix: every ERR cell, on stderr so -json/-markdown stdout
 	// stays machine-readable. Failed-but-rendered sweeps exit zero — the
-	// tables are the product, and a -resume rerun repairs the holes.
+	// tables are the product, and the appendix names each hole and why.
 	if fails := sw.Failures(); len(fails) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d cell(s) failed or were skipped:\n", len(fails))
 		for _, f := range fails {
 			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Key, f.Err)
 		}
-		if *journalP != "" {
-			fmt.Fprintf(os.Stderr, "rerun with -journal %s -resume to retry only these cells\n", *journalP)
-		}
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func note(what string) {

@@ -23,8 +23,8 @@ const customPortKind PortKind = -1
 // CustomPort wraps a user-supplied arbiter factory as a PortConfig. The
 // factory is invoked once per simulation (arbiters are stateful), with the
 // L1 line size of the configured memory hierarchy. The label distinguishes
-// this arbiter from other custom ports in names, sweep journal cell keys,
-// and the lbicd result cache — two custom ports with different behaviour
+// this arbiter from other custom ports in names, sweep cell keys, and the
+// lbicd result cache — two custom ports with different behaviour
 // must carry different labels, or their results collide under one key.
 func CustomPort(label string, factory func(lineSize int) (Arbiter, error)) PortConfig {
 	return PortConfig{Kind: customPortKind, Label: label, custom: factory}

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"lbic"
-	"lbic/internal/runner"
 )
 
 // renderGrid runs testGrid on sw and returns its JSON + rendered text, the
@@ -51,6 +47,13 @@ func checkMatchesSimulate(t *testing.T, sw *Sweep, cells []cell[float64]) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchSimulate(t, got, cells)
+}
+
+// matchSimulate checks each cell's value in got against a lone lbic.Simulate
+// of the cell's own configuration.
+func matchSimulate(t *testing.T, got map[string]float64, cells []cell[float64]) {
+	t.Helper()
 	for _, c := range cells {
 		src, err := c.sim.source()
 		if err != nil {
@@ -60,15 +63,16 @@ func checkMatchesSimulate(t *testing.T, sw *Sweep, cells []cell[float64]) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := c.sim.pick(&res); got[c.Key] != want {
-			t.Errorf("%s: sweep %v, Simulate %v", c.Key, got[c.Key], want)
+		if v, ok := got[c.Key]; !ok || v != c.sim.pick(&res) {
+			t.Errorf("%s: sweep %v (present %v), Simulate %v", c.Key, v, ok, c.sim.pick(&res))
 		}
 	}
 }
 
 // TestSweepLanedMatchesScalar: every sweep steps its stream groups as lane
-// batches; each cell must equal a lone Simulate of its configuration, and
-// the rendered grid must not depend on how many cells run at once.
+// batches; each cell must equal a lone Simulate of its configuration, the
+// rendered grid must not depend on how many cells run at once, and a cell's
+// key and value must not depend on its batch's width.
 func TestSweepLanedMatchesScalar(t *testing.T) {
 	checkMatchesSimulate(t, NewSweep(5_000), testGridCells(NewSweep(5_000)))
 	serial := renderGrid(t, NewSweep(5_000))
@@ -76,6 +80,23 @@ func TestSweepLanedMatchesScalar(t *testing.T) {
 	sw.Jobs = 4
 	if got := renderGrid(t, sw); got != serial {
 		t.Errorf("Jobs=4 output differs from serial:\n--- serial ---\n%s\n--- jobs=4 ---\n%s", serial, got)
+	}
+
+	// One cell per sweepRun: every group is a batch of one, and each cell
+	// must come out under the key and with the value the batched sweep gave.
+	batched, err := sweepRun(NewSweep(5_000), testGridCells(NewSweep(5_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := NewSweep(5_000)
+	for _, c := range testGridCells(one) {
+		got, err := sweepRun(one, []cell[float64]{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := batched[c.Key]; !ok || got[c.Key] != v {
+			t.Errorf("%s: batch of one %v, batched %v (present %v)", c.Key, got[c.Key], v, ok)
+		}
 	}
 }
 
@@ -105,104 +126,39 @@ func TestWorkloadMatrixLanedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSweepLanedJournalInterop: cell keys do not depend on batch width, so a
-// journal written with the cells batched serves a resume where each cell
-// would run alone, and one written by batches of one serves a batched resume.
-func TestSweepLanedJournalInterop(t *testing.T) {
-	t.Run("laned-then-scalar", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "sweep.jsonl")
-		j := openJournal(t, path, false)
-		sw := NewSweep(5_000)
-		sw.Journal = j
-		first := renderGrid(t, sw)
-		closeJournal(t, j, 4)
-
-		j2 := openJournal(t, path, true)
-		defer j2.Close()
-		sw2 := NewSweep(5_000)
-		sw2.Journal = j2
-		// Injected cells leave their batches and run alone; sabotaging every
-		// cell proves none of them ran rather than being served.
-		sw2.InjectPanic = []string{"pat:unit-stride", "pat:random"}
-		if second := renderGrid(t, sw2); second != first {
-			t.Errorf("resumed output differs:\n--- first ---\n%s\n--- resumed ---\n%s", first, second)
-		}
-		if fails := sw2.Failures(); len(fails) != 0 {
-			t.Errorf("resumed pass reran cells: %v", fails)
-		}
-	})
-	t.Run("scalar-then-laned", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "sweep.jsonl")
-		j := openJournal(t, path, false)
-		sw := NewSweep(5_000)
-		sw.Journal = j
-		// One cell per sweepRun: every group is a batch of one.
-		for _, c := range testGridCells(sw) {
-			if _, err := sweepRun(sw, []cell[float64]{c}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		closeJournal(t, j, 4)
-
-		j2 := openJournal(t, path, true)
-		defer j2.Close()
-		sw2 := NewSweep(5_000)
-		sw2.Journal = j2
-		sw2.Spans = lbic.NewRequestTrace()
-		if got, want := renderGrid(t, sw2), renderGrid(t, NewSweep(5_000)); got != want {
-			t.Errorf("resumed output differs:\n--- fresh ---\n%s\n--- resumed ---\n%s", want, got)
-		}
-		if spans := sw2.Spans.Snapshot(); len(spans) != 0 {
-			t.Errorf("resumed pass ran %d spans, want none: first %q", len(spans), spans[0].Name)
-		}
-	})
-}
-
-func openJournal(t *testing.T, path string, resume bool) *runner.Journal {
-	t.Helper()
-	j, err := runner.OpenJournal(path, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resume && j.Resumed() != 4 {
-		t.Fatalf("Resumed() = %d, want 4", j.Resumed())
-	}
-	return j
-}
-
-func closeJournal(t *testing.T, j *runner.Journal, want int) {
-	t.Helper()
-	if j.Len() != want {
-		t.Fatalf("journal has %d cells, want %d", j.Len(), want)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSweepInjectedCellLeavesItsBatch: fault injection targets one cell.
-// The injected cell leaves its stream group and fails on its own; the other
-// members of the group still run as one batch, which the span tree shows.
-func TestSweepInjectedCellLeavesItsBatch(t *testing.T) {
+// TestSweepPanickingLaneFailsItsBatch: an arbiter that panics takes down
+// its whole lane batch, because the simulator recovers the panic for the
+// batch, not per lane. Every member fails with the panic and settles once,
+// and the span tree records the one batch under the group's runner cell.
+func TestSweepPanickingLaneFailsItsBatch(t *testing.T) {
 	sw := NewSweep(5_000)
 	sw.Jobs = 2
 	sw.KeepGoing = true
 	sw.Spans = lbic.NewRequestTrace()
-	sw.InjectPanic = []string{"pat:unit-stride/true-1"}
+	settled := map[string]int{}
+	sw.OnCell = func(key string, err error) { settled[key]++ }
 	var cells []cell[float64]
-	for _, port := range []lbic.PortConfig{lbic.IdealPort(1), lbic.BankedPort(4), lbic.LBICPort(4, 2)} {
+	for _, port := range []lbic.PortConfig{panicPort(), lbic.BankedPort(4), lbic.LBICPort(4, 2)} {
 		cells = append(cells, sw.simPattern("unit-stride", port))
 	}
 	got, err := sweepRun(sw, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Errorf("%d cells succeeded, want 2: %v", len(got), got)
+	if len(got) != 0 {
+		t.Errorf("%d cells succeeded, want none: %v", len(got), got)
 	}
 	fails := sw.Failures()
-	if len(fails) != 1 || fails[0].Key != cells[0].Key || !strings.Contains(fails[0].Err.Error(), "injected panic") {
-		t.Fatalf("Failures() = %v, want only the injected panic of %s", fails, cells[0].Key)
+	if len(fails) != len(cells) {
+		t.Fatalf("Failures() = %v, want all %d cells", fails, len(cells))
+	}
+	for i, f := range fails {
+		if f.Key != cells[i].Key || !strings.Contains(f.Err.Error(), "grant exploded") {
+			t.Errorf("failure %d = %s: %v, want %s with the arbiter's panic", i, f.Key, f.Err, cells[i].Key)
+		}
+		if settled[cells[i].Key] != 1 {
+			t.Errorf("%s settled %d times, want 1", cells[i].Key, settled[cells[i].Key])
+		}
 	}
 
 	spans := sw.Spans.Snapshot()
@@ -213,28 +169,29 @@ func TestSweepInjectedCellLeavesItsBatch(t *testing.T) {
 	for _, sp := range spans {
 		byID[sp.ID] = sp
 	}
-	var batches, sims int
+	var runnerCells, batches, sims int
 	for _, sp := range spans {
 		switch {
-		case sp.Name == "cell "+cells[0].Key:
-			if sp.Attrs["error"] == nil {
-				t.Errorf("injected cell span has no error: %v", sp.Attrs)
+		case strings.HasPrefix(sp.Name, "cell "):
+			runnerCells++
+			if sp.Name != "cell lane/pat/unit-stride/i5000/k3" || sp.Attrs["error"] == nil {
+				t.Errorf("runner cell span %q (attrs %v), want the group's batch with an error", sp.Name, sp.Attrs)
 			}
 		case strings.HasPrefix(sp.Name, "simulate batch "):
 			batches++
-			if sp.Name != "simulate batch unit-stride x2" || byID[sp.Parent].Name != "cell lane/pat/unit-stride/i5000/k2" {
-				t.Errorf("batch span %q under %q, want \"simulate batch unit-stride x2\" under the group's runner cell",
+			if sp.Name != "simulate batch unit-stride x3" || byID[sp.Parent].Name != "cell lane/pat/unit-stride/i5000/k3" {
+				t.Errorf("batch span %q under %q, want \"simulate batch unit-stride x3\" under the group's runner cell",
 					sp.Name, byID[sp.Parent].Name)
 			}
 		case strings.HasPrefix(sp.Name, "simulate "):
 			sims++
-			if !strings.HasPrefix(byID[sp.Parent].Name, "simulate batch ") || sp.Attrs["cycles"] == nil {
-				t.Errorf("simulate span %q (attrs %v) is not a finished lane of the batch", sp.Name, sp.Attrs)
+			if !strings.HasPrefix(byID[sp.Parent].Name, "simulate batch ") || sp.Attrs["error"] == nil {
+				t.Errorf("simulate span %q (attrs %v) is not a failed lane of the batch", sp.Name, sp.Attrs)
 			}
 		}
 	}
-	if batches != 1 || sims != 2 {
-		t.Errorf("%d batch and %d simulate spans, want 1 and 2", batches, sims)
+	if runnerCells != 1 || batches != 1 || sims != 3 {
+		t.Errorf("%d runner cell, %d batch and %d simulate spans, want 1, 1 and 3", runnerCells, batches, sims)
 	}
 }
 
@@ -257,20 +214,14 @@ func TestSweepLanedFailFast(t *testing.T) {
 	}
 }
 
-// TestSweepRetriedBatchSettlesMembersOnce: a batch whose lane fails is
-// retried like that cell alone would be, but every member settles — OnCell,
-// journal, memo — exactly once, from the final attempt.
-func TestSweepRetriedBatchSettlesMembersOnce(t *testing.T) {
+// TestSweepFailedLaneSettlesMembersOnce: a lane that fails on its own
+// configuration (MaxCycles) fails alone. Its batch-mates succeed and match a
+// lone Simulate, and every member settles — OnCell, memo, failure log —
+// exactly once, from the batch's single run.
+func TestSweepFailedLaneSettlesMembersOnce(t *testing.T) {
 	for _, keepGoing := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "sweep.jsonl")
-		j, err := runner.OpenJournal(path, false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sw := NewSweep(5_000)
-		sw.Retries = 1
 		sw.KeepGoing = keepGoing
-		sw.Journal = j
 		sw.Spans = lbic.NewRequestTrace()
 		settled := map[string]int{}
 		sw.OnCell = func(key string, err error) { settled[key]++ }
@@ -290,32 +241,30 @@ func TestSweepRetriedBatchSettlesMembersOnce(t *testing.T) {
 		if len(got) != 2 {
 			t.Errorf("keepGoing=%v: %d cells succeeded, want 2", keepGoing, len(got))
 		}
+		matchSimulate(t, got, cells[:2])
 		for _, c := range cells {
 			if settled[c.Key] != 1 {
 				t.Errorf("keepGoing=%v: %s settled %d times, want 1", keepGoing, c.Key, settled[c.Key])
+			}
+			if _, ok := sw.memo.get(c.sim.memoKey); ok != (c.Key != cells[2].Key) {
+				t.Errorf("keepGoing=%v: %s memoized = %v, want only the successful lanes", keepGoing, c.Key, ok)
 			}
 		}
 		if fails := sw.Failures(); len(fails) != 1 || fails[0].Key != cells[2].Key {
 			t.Errorf("keepGoing=%v: Failures() = %v, want only %s", keepGoing, fails, cells[2].Key)
 		}
-		if j.Len() != 2 {
-			t.Errorf("keepGoing=%v: journal has %d cells, want 2", keepGoing, j.Len())
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lines := bytes.Count(raw, []byte("\n")); lines != 2 {
-			t.Errorf("keepGoing=%v: journal file has %d records, want 2", keepGoing, lines)
-		}
-		// The batch was attempted twice: the failing lane is retried.
+		// The batch ran once: one runner cell and one batch span.
+		var runnerCells, batches int
 		for _, sp := range sw.Spans.Snapshot() {
-			if strings.HasPrefix(sp.Name, "cell lane/") && sp.Attrs["attempts"] != 2 {
-				t.Errorf("keepGoing=%v: batch cell attempts = %v, want 2", keepGoing, sp.Attrs["attempts"])
+			switch {
+			case strings.HasPrefix(sp.Name, "cell "):
+				runnerCells++
+			case strings.HasPrefix(sp.Name, "simulate batch "):
+				batches++
 			}
+		}
+		if runnerCells != 1 || batches != 1 {
+			t.Errorf("keepGoing=%v: %d runner cell and %d batch spans, want 1 and 1", keepGoing, runnerCells, batches)
 		}
 	}
 }

@@ -7,10 +7,10 @@
 // package, so the numbers reported everywhere come from one implementation.
 //
 // Every generator takes a *Sweep, which carries the execution policy:
-// parallelism, per-cell timeouts and retries, checkpoint/resume, and
-// graceful shutdown. Failed cells render as ERR and are listed in
-// Sweep.Failures; with Sweep.KeepGoing a partial sweep still produces every
-// table.
+// parallelism, per-cell timeouts, the one trace cache its cells share, and
+// graceful shutdown. Each cell runs once. Failed cells render as ERR and are
+// listed in Sweep.Failures; with Sweep.KeepGoing a partial sweep still
+// produces every table.
 package experiments
 
 import (

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,12 +14,13 @@ import (
 )
 
 // Sweep carries the execution policy for a set of experiment runs: the
-// instruction budget, parallelism, per-cell timeout and retry policy, the
-// checkpoint journal, and graceful-shutdown plumbing. Every table and figure
-// generator takes one, so a single panicking port design, hung pipeline, or
-// ^C costs individual cells (rendered as ERR) rather than the whole
-// evaluation. The zero value of every field is the conservative default:
-// serial, no timeout, no retries, fail-fast, no journal.
+// instruction budget, parallelism, per-cell timeout, the trace cache, and
+// graceful-shutdown plumbing. Every table and figure generator takes one, so
+// a single panicking port design, hung pipeline, or ^C costs individual
+// cells (rendered as ERR) rather than the whole evaluation. The zero value
+// of every policy field is the conservative default: serial, no timeout,
+// fail-fast. Each cell runs once: cells are deterministic, so a failed cell
+// would fail the same way again.
 type Sweep struct {
 	// Insts is the per-run instruction budget.
 	Insts uint64
@@ -29,71 +28,47 @@ type Sweep struct {
 	Ctx context.Context
 	// Jobs bounds concurrently running cells (0 or 1 = serial).
 	Jobs int
-	// Timeout bounds each cell attempt (0 = none).
+	// Timeout bounds each cell (0 = none).
 	Timeout time.Duration
-	// Retries re-attempts failed (non-timeout) cells.
-	Retries int
 	// KeepGoing renders tables with ERR cells instead of stopping at the
 	// first failure.
 	KeepGoing bool
-	// Journal checkpoints completed cells for -resume.
-	Journal *runner.Journal
-	// Trace, when non-nil, records each program's dynamic trace once and
-	// replays it for every cell at the same instruction budget — simulation
-	// cells, Table 2 characterization, and Figure 3 reference-stream
-	// analysis all share one recording. Results are bit-identical with and
-	// without it (cell keys deliberately ignore it), so journals stay
-	// compatible either way.
+	// Trace is the sweep's one trace cache. It records each program's
+	// dynamic trace once and replays it for every cell at the same
+	// instruction budget — simulation cells, Table 2 characterization, and
+	// Figure 3 reference-stream analysis all share one recording. NewSweep
+	// sets it to a 256 MiB cache; replace it before the sweep runs to
+	// change the budget. Results are bit-identical to live emulation.
 	Trace *lbic.TraceCache
 	// Spans, when non-nil, records every cell of this sweep as spans on the
-	// trace (cell attempts, retries, deadline slack from the runner; cycles
-	// and trace-cache attribution from the simulator). Export the tree with
-	// lbic.WriteChromeTrace or lbic.WriteTraceJSONL.
+	// trace (cell errors, abandonment and deadline slack from the runner;
+	// cycles and trace-cache attribution from the simulator). Export the
+	// tree with lbic.WriteChromeTrace or lbic.WriteTraceJSONL.
 	Spans *lbic.RequestTrace
 	// Stop requests graceful shutdown: in-flight cells finish, the rest are
 	// skipped.
 	Stop <-chan struct{}
 	// OnCell observes every settled cell (progress reporting).
 	OnCell func(key string, err error)
-	// InjectPanic and InjectHang are key substrings marking cells to
-	// sabotage — a panic or a never-returning hang — for exercising the
-	// fault-isolation machinery end to end. A sabotaged simulation cell
-	// leaves its stream group's batch; the rest of the group still batches.
-	InjectPanic []string
-	InjectHang  []string
 
 	log   *failureLog
 	progs *progCache
 	memo  *resultMemo
-	// local is the sweep-private trace cache serving cells when Trace is
-	// nil: without it, every cell of the same benchmark re-ran the emulator
-	// to regenerate an identical stream once per cell.
-	local *lbic.TraceCache
 }
 
-// localTraceBudget bounds the sweep-private trace cache. Matches the
-// lbictables default budget; eviction only costs a re-recording.
-const localTraceBudget = 256 << 20
+// traceBudget bounds the trace cache NewSweep creates. Matches lbictables'
+// default -trace-cache-mb; eviction only costs a re-recording.
+const traceBudget = 256 << 20
 
 // NewSweep returns a sweep with the given budget and default policy.
 func NewSweep(insts uint64) *Sweep {
 	return &Sweep{
 		Insts: insts,
+		Trace: lbic.NewTraceCache(traceBudget),
 		log:   &failureLog{},
 		progs: &progCache{m: map[string]*lbic.Program{}},
 		memo:  &resultMemo{m: map[string]*lbic.Result{}},
-		local: lbic.NewTraceCache(localTraceBudget),
 	}
-}
-
-// traceCache returns the cache cells stream from: the caller-provided one,
-// or the sweep-private cache, so a sweep without an explicit Trace still
-// records each (program, budget) stream once and replays it for every cell.
-func (sw *Sweep) traceCache() *lbic.TraceCache {
-	if sw.Trace != nil {
-		return sw.Trace
-	}
-	return sw.local
 }
 
 // progCache builds each program once per sweep. Programs are immutable once
@@ -174,7 +149,7 @@ func (sw *Sweep) context() context.Context {
 	return ctx
 }
 
-// cell is one table cell, keyed for the journal. A simulation cell carries
+// cell is one table cell, keyed by its configuration. A simulation cell carries
 // its spec and runs as a lane of its stream group's batch; any other cell
 // (characterization, reference-stream analysis) runs its own function.
 type cell[T any] struct {
@@ -250,25 +225,20 @@ type outcome[T any] struct {
 // in the failure log and simply absent from the map. The error is nil unless
 // the context was canceled or (without KeepGoing) a cell failed.
 //
-// Cells already in the journal, or whose simulation an earlier table of this
-// sweep ran, settle up front. Every other simulation cell joins its stream
-// group, and each group runs as one lane batch of its full width, a batch of
-// one included (lbic.SimulateBatch). A cell marked for fault injection
-// leaves its group and runs alone, so only it fails. Each batch is one
-// runner cell; its per-attempt timeout is the cell timeout times its width,
-// since it does that many lanes of work, and its members settle — journal,
-// memo, OnCell — once, from the attempt that stood.
+// Cells whose simulation an earlier table of this sweep ran settle up front.
+// Every other simulation cell joins its stream group, and each group runs as
+// one lane batch of its full width, a batch of one included
+// (lbic.SimulateBatch). Each batch is one runner cell; its timeout is the
+// cell timeout times its width, since it does that many lanes of work, and
+// its members settle — memo, failure log, OnCell — once, when it finishes.
 func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
 	out := make(map[string]T, len(cells))
 	failed := map[string]error{}
-	settle := func(c cell[T], o outcome[T], record bool) {
+	settle := func(c cell[T], o outcome[T]) {
 		if o.err == nil {
 			out[c.Key] = o.v
 			if o.res != nil {
 				sw.memo.put(c.sim.memoKey, o.res)
-			}
-			if record && sw.Journal != nil {
-				sw.Journal.Record(c.Key, o.v)
 			}
 		} else {
 			sw.log.add(CellError{Key: c.Key, Err: o.err})
@@ -286,13 +256,9 @@ func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
 	var plan [][]cell[T]
 	groups := map[string]int{}
 	for _, c := range cells {
-		if v, ok := journaled[T](sw.Journal, c.Key); ok {
-			settle(c, outcome[T]{v: v}, false)
-			continue
-		}
-		if c.sim != nil && !sw.injected(c.Key) {
+		if c.sim != nil {
 			if res, ok := sw.memo.get(c.sim.memoKey); ok {
-				settle(c, outcome[T]{v: c.sim.pick(res)}, true)
+				settle(c, outcome[T]{v: c.sim.pick(res)})
 				continue
 			}
 			if i, ok := groups[c.sim.group]; ok {
@@ -312,11 +278,11 @@ func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
 				if r.Value != nil {
 					o = r.Value[j]
 				}
-				settle(c, o, true)
+				settle(c, o)
 			}
 		})
 	}
-	opts := runner.Options{Jobs: sw.Jobs, Retries: sw.Retries, KeepGoing: sw.KeepGoing, Stop: sw.Stop}
+	opts := runner.Options{Jobs: sw.Jobs, KeepGoing: sw.KeepGoing, Stop: sw.Stop}
 	ctx := sw.context()
 	if _, err := runner.Run(ctx, units, opts); err != nil {
 		if ctx.Err() == nil {
@@ -332,61 +298,31 @@ func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
 	return out, nil
 }
 
-// journaled returns the value the journal checkpointed for key. An entry
-// that no longer unmarshals (the value type changed between versions) is
-// treated as absent.
-func journaled[T any](j *runner.Journal, key string) (T, bool) {
-	var v T
-	if j == nil {
-		return v, false
-	}
-	raw, ok := j.Lookup(key)
-	if !ok || json.Unmarshal(raw, &v) != nil {
-		return v, false
-	}
-	return v, true
-}
-
-// injected reports whether a cell is marked for fault injection.
-func (sw *Sweep) injected(key string) bool {
-	return matchAny(key, sw.InjectPanic) || matchAny(key, sw.InjectHang)
-}
-
 // newUnit wraps members as one runner cell: a stream group's simulation cells
 // as one lane batch (keyed by the member's own key when it runs alone), or
-// a single other cell. Cells marked for fault injection — always alone —
-// are sabotaged with a panic or a never-returning hang.
+// a single other cell.
 func newUnit[T any](sw *Sweep, ms []cell[T], settled func(runner.Result[[]outcome[T]])) runner.Cell[[]outcome[T]] {
 	c := runner.Cell[[]outcome[T]]{Key: ms[0].Key, Timeout: sw.Timeout * time.Duration(len(ms)), Settled: settled}
 	if len(ms) > 1 {
 		c.Key = fmt.Sprintf("lane/%s/k%d", ms[0].sim.group, len(ms))
 	}
-	key := ms[0].Key
-	switch {
-	case matchAny(key, sw.InjectPanic):
-		c.Run = func(context.Context) ([]outcome[T], error) {
-			panic(fmt.Sprintf("injected panic in cell %s", key))
-		}
-	case matchAny(key, sw.InjectHang):
-		c.Run = func(context.Context) ([]outcome[T], error) {
-			select {} // deliberately ignores ctx: models a wedged cell
-		}
-	case ms[0].sim != nil:
+	if ms[0].sim != nil {
 		c.Labels = []string{"lanes", strconv.Itoa(len(ms))}
 		c.Run = func(ctx context.Context) ([]outcome[T], error) { return runBatch(ctx, sw, ms) }
-	default:
-		run := ms[0].run
-		c.Run = func(ctx context.Context) ([]outcome[T], error) {
-			v, err := run(ctx)
-			return []outcome[T]{{v: v, err: err}}, err
-		}
+		return c
+	}
+	run := ms[0].run
+	c.Run = func(ctx context.Context) ([]outcome[T], error) {
+		v, err := run(ctx)
+		return []outcome[T]{{v: v, err: err}}, err
 	}
 	return c
 }
 
 // runBatch runs one stream group's cells as the lanes of one batch. A lane's
-// failure is returned as the batch's error too, so the runner retries the
-// batch exactly as it would retry that cell alone.
+// failure is returned as the batch's error too, so the runner counts the
+// batch as failed, and a fail-fast sweep stops, exactly as for that cell
+// alone; the batch's other lanes keep their own outcomes.
 func runBatch[T any](ctx context.Context, sw *Sweep, ms []cell[T]) ([]outcome[T], error) {
 	src, err := ms[0].sim.source()
 	if err != nil {
@@ -394,7 +330,7 @@ func runBatch[T any](ctx context.Context, sw *Sweep, ms []cell[T]) ([]outcome[T]
 	}
 	cfgs := make([]lbic.Config, len(ms))
 	for i, c := range ms {
-		cfgs[i] = c.sim.config(sw.traceCache())
+		cfgs[i] = c.sim.config(sw.Trace)
 	}
 	results, errs, err := lbic.SimulateBatch(ctx, src, cfgs)
 	if err != nil {
@@ -415,19 +351,10 @@ func runBatch[T any](ctx context.Context, sw *Sweep, ms []cell[T]) ([]outcome[T]
 	return outs, first
 }
 
-func matchAny(key string, subs []string) bool {
-	for _, s := range subs {
-		if s != "" && strings.Contains(key, s) {
-			return true
-		}
-	}
-	return false
-}
-
 // --- cell constructors ---
-// Keys are stable, human-readable encodings of the full cell configuration;
-// they are the journal's checkpoint identity, so anything that changes the
-// simulated configuration must appear in the key.
+// Keys are stable, human-readable encodings of the full cell configuration.
+// A simulation cell's key doubles as its memo identity, so anything that
+// changes the simulated configuration must appear in the key.
 
 // simBench is one benchmark under one port organization at the sweep budget.
 func (sw *Sweep) simBench(name string, port lbic.PortConfig) cell[float64] {
@@ -455,7 +382,7 @@ func (sw *Sweep) simPattern(name string, port lbic.PortConfig) cell[float64] {
 }
 
 // simBenchConflict is simBench reduced to the port conflict rate (stalled
-// requests per granted access). Distinct key namespace — the journaled value
+// requests per granted access). Distinct key namespace — the cell's value
 // differs — but the memo key matches the IPC cell's, so the same
 // (benchmark, port, budget) point appearing in an IPC table and a conflict
 // table is simulated once.
@@ -485,10 +412,6 @@ func pickIPC(r *lbic.Result) float64 { return r.IPC }
 
 // charCell measures a benchmark's Table 2 characteristics against a given
 // L1 geometry.
-// charCell (and missRateCell, refCell below) streams from the caller's
-// trace cache only: a characterization pass is a single sequential read, so
-// replaying costs the same as re-emulating and a sweep-private recording
-// would never be repaid within the cell's own table.
 func (sw *Sweep) charCell(name string, geom lbic.Geometry) cell[lbic.BenchmarkStats] {
 	insts := sw.Insts
 	tc := sw.Trace
@@ -503,7 +426,7 @@ func (sw *Sweep) charCell(name string, geom lbic.Geometry) cell[lbic.BenchmarkSt
 }
 
 // missRateCell is charCell reduced to the miss rate, for the capacity and
-// associativity grids. Distinct key namespace: the journaled value differs.
+// associativity grids. Distinct key namespace: the cell's value differs.
 func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) cell[float64] {
 	insts := sw.Insts
 	tc := sw.Trace

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -15,29 +13,72 @@ import (
 // end to end: four cells at a 5k budget, keys
 // sim/pat:{unit-stride,random}/{true-1,bank-4}/i5000.
 func testGrid(sw *Sweep) (*stats.Table, error) {
+	return faultGrid(sw, []string{"unit-stride", "random"}, nil)
+}
+
+// faultGrid is testGrid over the given patterns, where a pattern named in
+// faults runs its first column on that port instead of true-1.
+func faultGrid(sw *Sweep, pats []string, faults map[string]lbic.PortConfig) (*stats.Table, error) {
 	ports := []lbic.PortConfig{lbic.IdealPort(1), lbic.BankedPort(4)}
 	cols := make([]column, len(ports))
 	for i, port := range ports {
-		port := port
 		cols[i] = column{header: port.Name(), cell: func(pat string) cell[float64] {
+			if f, ok := faults[pat]; ok && i == 0 {
+				return sw.simPattern(pat, f)
+			}
 			return sw.simPattern(pat, port)
 		}}
 	}
-	return grid(sw, "test grid", []string{"unit-stride", "random"}, cols, stats.FormatIPC, true)
+	return grid(sw, "test grid", pats, cols, stats.FormatIPC, true)
 }
 
-// One injected panicking cell and one injected hung cell must cost exactly
-// those two cells: the table still renders, bad cells as ERR, and the
-// failure log names both.
+// panicArbiter's Grant panics, standing in for a buggy arbiter design.
+type panicArbiter struct{}
+
+func (panicArbiter) Name() string   { return "panic" }
+func (panicArbiter) PeakWidth() int { return 1 }
+func (panicArbiter) Grant(uint64, []lbic.Request, []int) []int {
+	panic("arbiter bug: grant exploded")
+}
+
+func panicPort() lbic.PortConfig {
+	return lbic.CustomPort("panic", func(int) (lbic.Arbiter, error) { return panicArbiter{}, nil })
+}
+
+// hangArbiter's Grant blocks until release is closed, without watching any
+// context, like a wedged arbiter: its cell can only be abandoned. Once
+// released it grants the oldest request each cycle, so the abandoned
+// simulation runs to its end.
+type hangArbiter struct{ release <-chan struct{} }
+
+func (hangArbiter) Name() string   { return "hang" }
+func (hangArbiter) PeakWidth() int { return 1 }
+func (a hangArbiter) Grant(_ uint64, ready []lbic.Request, dst []int) []int {
+	<-a.release
+	if len(ready) > 0 {
+		dst = append(dst, 0)
+	}
+	return dst
+}
+
+// hangPort returns a port whose arbiter hangs until the test ends.
+func hangPort(t *testing.T) lbic.PortConfig {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	return lbic.CustomPort("hang", func(int) (lbic.Arbiter, error) { return hangArbiter{release}, nil })
+}
+
+// A panicking arbiter and a hung one must cost exactly their own lane
+// batches: the table still renders, the failed stream groups' cells as ERR,
+// and the failure log names the panic and the deadline.
 func TestSweepRendersERRForInjectedFaults(t *testing.T) {
 	sw := NewSweep(5_000)
 	sw.Jobs = 4
 	sw.KeepGoing = true
 	sw.Timeout = 500 * time.Millisecond
-	sw.InjectPanic = []string{"pat:unit-stride/true-1"}
-	sw.InjectHang = []string{"pat:random/bank-4"}
 
-	tab, err := testGrid(sw)
+	tab, err := faultGrid(sw, []string{"unit-stride", "random", "line-stride"},
+		map[string]lbic.PortConfig{"unit-stride": panicPort(), "random": hangPort(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,91 +87,33 @@ func TestSweepRendersERRForInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if got := strings.Count(out, errCell); got != 2 {
-		t.Errorf("rendered table has %d ERR cells, want 2:\n%s", got, out)
+	// Each faulty arbiter fails its whole batch: two rows of two cells.
+	if got := strings.Count(out, errCell); got != 4 {
+		t.Errorf("rendered table has %d ERR cells, want 4:\n%s", got, out)
 	}
-	// Each column keeps one healthy cell, so the average row stays numeric.
+	// The line-stride row survives in every column, so the average row
+	// stays numeric.
 	if strings.Contains(strings.SplitAfter(out, "Average")[1], errCell) {
 		t.Errorf("average row has ERR despite surviving cells:\n%s", out)
 	}
 
 	fails := sw.Failures()
-	if len(fails) != 2 {
-		t.Fatalf("Failures() = %d entries, want 2: %v", len(fails), fails)
+	if len(fails) != 4 {
+		t.Fatalf("Failures() = %d entries, want 4: %v", len(fails), fails)
 	}
-	msgs := map[string]string{}
 	for _, f := range fails {
-		msgs[f.Key] = f.Err.Error()
-	}
-	if m := msgs["sim/pat:unit-stride/true-1/i5000"]; !strings.Contains(m, "injected panic") {
-		t.Errorf("panic cell error = %q, want injected panic", m)
-	}
-	if m := msgs["sim/pat:random/bank-4/i5000"]; !strings.Contains(m, "deadline") {
-		t.Errorf("hung cell error = %q, want deadline exceeded", m)
-	}
-}
-
-// A resumed sweep must serve completed cells from the journal and rerun only
-// the failed ones. The second pass injects panics into every previously
-// successful cell: if any of them reran instead of being served from the
-// checkpoint, the table would show ERR.
-func TestSweepResumeRerunsOnlyFailedCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-
-	j, err := runner.OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := NewSweep(5_000)
-	sw.KeepGoing = true
-	sw.Journal = j
-	sw.InjectPanic = []string{"pat:random/bank-4"}
-	tab, err := testGrid(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tab.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), errCell) {
-		t.Fatalf("first pass should have one ERR cell:\n%s", sb.String())
-	}
-	if j.Len() != 3 {
-		t.Fatalf("journal has %d cells after first pass, want 3", j.Len())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := runner.OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 3 {
-		t.Fatalf("Resumed() = %d, want 3", j2.Resumed())
-	}
-	sw2 := NewSweep(5_000)
-	sw2.Journal = j2
-	// Sabotage the three checkpointed cells; only the failed one may run.
-	sw2.InjectPanic = []string{"pat:unit-stride", "pat:random/true-1"}
-	tab2, err := testGrid(sw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := tab2.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), errCell) {
-		t.Errorf("resumed pass reran checkpointed cells:\n%s", sb.String())
-	}
-	if fails := sw2.Failures(); len(fails) != 0 {
-		t.Errorf("resumed pass failures: %v", fails)
-	}
-	if j2.Len() != 4 {
-		t.Errorf("journal has %d cells after resume, want 4", j2.Len())
+		switch m := f.Err.Error(); {
+		case strings.Contains(f.Key, "pat:unit-stride/"):
+			if !strings.Contains(m, "grant exploded") {
+				t.Errorf("%s error = %q, want the arbiter's panic", f.Key, m)
+			}
+		case strings.Contains(f.Key, "pat:random/"):
+			if !strings.Contains(m, "deadline") {
+				t.Errorf("%s error = %q, want deadline exceeded", f.Key, m)
+			}
+		default:
+			t.Errorf("unexpected failure %s: %v", f.Key, f.Err)
+		}
 	}
 }
 
@@ -161,16 +144,16 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 }
 
 // A sweep with Spans set must record every runner cell and its simulate
-// children as a validated span tree, including on faulted cells.
+// children as a validated span tree, including on a faulted batch.
 func TestSweepSpansRecorded(t *testing.T) {
 	sw := NewSweep(5_000)
 	sw.Jobs = 2
 	sw.KeepGoing = true
 	sw.Timeout = 500 * time.Millisecond
-	sw.InjectPanic = []string{"pat:unit-stride/true-1"}
 	sw.Spans = lbic.NewRequestTrace()
 
-	if _, err := testGrid(sw); err != nil {
+	if _, err := faultGrid(sw, []string{"unit-stride", "random"},
+		map[string]lbic.PortConfig{"unit-stride": panicPort()}); err != nil {
 		t.Fatal(err)
 	}
 	spans := sw.Spans.Snapshot()
@@ -182,26 +165,25 @@ func TestSweepSpansRecorded(t *testing.T) {
 		if sp.Open {
 			t.Errorf("span %q left open after the sweep", sp.Name)
 		}
+		faulted := strings.Contains(sp.Name, "unit-stride")
 		switch {
 		case strings.HasPrefix(sp.Name, "simulate batch "):
 			batches++
 		case strings.HasPrefix(sp.Name, "cell "):
 			cells++
-			if strings.Contains(sp.Name, "pat:unit-stride/true-1") && sp.Attrs["error"] == nil {
-				t.Errorf("injected-panic cell span missing error attr: %v", sp.Attrs)
+			if faulted && sp.Attrs["error"] == nil {
+				t.Errorf("panicked batch's cell span missing error attr: %v", sp.Attrs)
 			}
 		case strings.HasPrefix(sp.Name, "simulate "):
 			sims++
-			if sp.Attrs["cycles"] == nil {
-				t.Errorf("simulate span %q missing cycles attr: %v", sp.Name, sp.Attrs)
+			if faulted && sp.Attrs["error"] == nil || !faulted && sp.Attrs["cycles"] == nil {
+				t.Errorf("simulate span %q lacks its outcome (cycles, or error in the panicked batch): %v", sp.Name, sp.Attrs)
 			}
 		}
 	}
-	// The grid's four cells run as three runner cells: the injected cell
-	// alone, unit-stride/bank-4 as a batch of one, and the random row as one
-	// batch of two. The panicking cell never reaches Simulate, so it
-	// contributes no simulate span.
-	if cells != 3 || batches != 1 || sims != 3 {
-		t.Errorf("spans = %d cells, %d batches, %d sims; want 3, 1 and 3", cells, batches, sims)
+	// The grid's four cells run as two runner cells, one lane batch of two
+	// per pattern; the panicked batch still closes both its lanes' spans.
+	if cells != 2 || batches != 2 || sims != 4 {
+		t.Errorf("spans = %d cells, %d batches, %d sims; want 2, 2 and 4", cells, batches, sims)
 	}
 }

@@ -16,14 +16,14 @@ func workloadPorts() []lbic.PortConfig { return lbic.PortAxis() }
 
 // simGen is one workload generator (at its catalog-default parameters)
 // under one port organization at the sweep budget. The cell key embeds the
-// fully resolved parameter key, so any change to a generator's defaults
-// invalidates journaled cells instead of silently reusing them.
+// fully resolved parameter key, so two parameterizations of one generator
+// never share a key or a memoized Result.
 func (sw *Sweep) simGen(kind string, port lbic.PortConfig) cell[float64] {
 	return sw.genCell(kind, port, "", func(r *lbic.Result) float64 { return r.IPC })
 }
 
 // simGenConflict is simGen reduced to the same-bank conflict rate. Distinct
-// key namespace: the journaled value differs.
+// key namespace: the cell's value differs.
 func (sw *Sweep) simGenConflict(kind string, port lbic.PortConfig) cell[float64] {
 	return sw.genCell(kind, port, "conf/", func(r *lbic.Result) float64 { return r.PortConflictRate() })
 }

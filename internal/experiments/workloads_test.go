@@ -39,9 +39,9 @@ func TestWorkloadMatrices(t *testing.T) {
 	}
 }
 
-// TestGenCellKeyEncodesParams pins the journal-identity contract: the cell
-// key carries the fully resolved generator parameters, so a defaults change
-// cannot silently reuse checkpointed values.
+// TestGenCellKeyEncodesParams pins the key contract: the cell key carries
+// the fully resolved generator parameters, so two parameterizations of one
+// generator never share a key or a memoized Result.
 func TestGenCellKeyEncodesParams(t *testing.T) {
 	sw := testSweep(tinyInsts)
 	cell := sw.simGen("zipf", lbic.BankedPort(4))

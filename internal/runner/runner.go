@@ -1,15 +1,14 @@
 // Package runner executes sweeps of independent simulation cells — one cell
-// per (program, port organization, budget) point — with bounded parallelism,
-// per-cell fault isolation, and checkpoint/resume. It exists so a single
-// panicking arbiter, hung pipeline, or impatient ^C costs one table cell, not
-// a whole evaluation run: every failure is contained in its cell's Result,
-// and a journal of completed cells lets an interrupted sweep pick up where it
-// left off.
+// per (program, port organization, budget) point — with bounded parallelism
+// and per-cell fault isolation. It exists so a single panicking arbiter, hung
+// pipeline, or impatient ^C costs one table cell, not a whole evaluation run:
+// every failure is contained in its cell's Result. A cell runs once. Cells
+// are deterministic simulations, so a failed cell would fail the same way
+// again, and the runner does not retry it.
 package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -22,10 +21,9 @@ import (
 
 // Cell is one independent unit of sweep work.
 type Cell[T any] struct {
-	// Key identifies the cell across runs; it must be unique within a sweep
-	// and stable for a given configuration, because it is the journal's
-	// checkpoint key. Use a readable encoding of the full configuration,
-	// e.g. "sim/compress/lbic-4x2/i1000000".
+	// Key identifies the cell; it must be unique within a sweep. Use a
+	// readable encoding of the full configuration, e.g.
+	// "sim/compress/lbic-4x2/i1000000".
 	Key string
 	// Run computes the cell. It must honor ctx promptly: a cell that ignores
 	// cancellation is abandoned (its goroutine leaks until it returns) once
@@ -35,16 +33,13 @@ type Cell[T any] struct {
 	// execution, alongside the always-present "cell" key. A sweep sets
 	// ("lanes", K) here so a CPU profile attributes stepping to batch width.
 	Labels []string
-	// Timeout, when positive, bounds each attempt of this cell in place of
-	// Options.Timeout: a cell standing for K results (a lane batch) does K
-	// results' work.
+	// Timeout, when positive, bounds this cell in place of Options.Timeout:
+	// a cell standing for K results (a lane batch) does K results' work.
 	Timeout time.Duration
-	// Settled, when non-nil, receives the cell's final Result exactly once:
-	// after its last attempt, or when it is served from the journal or
-	// skipped. Calls are serialized with every other cell's settlement and
-	// precede Options.OnCell. A cell standing for several results (a lane
-	// batch) settles its members here, so a retried cell settles each of
-	// them once, from the attempt that stood.
+	// Settled, when non-nil, receives the cell's Result exactly once: when
+	// it finishes or is skipped. Calls are serialized with every other
+	// cell's settlement. A cell standing for several results (a lane batch)
+	// settles its members here.
 	Settled func(Result[T])
 }
 
@@ -55,50 +50,30 @@ type Result[T any] struct {
 	// Err is nil on success, ErrSkipped if the sweep stopped before the cell
 	// started, a *PanicError if the cell panicked, or the cell's own error.
 	Err error
-	// Attempts counts executions (0 for cached or skipped cells).
-	Attempts int
-	// Elapsed is the total wall-clock time across attempts.
-	Elapsed time.Duration
-	// Cached reports that the value was served from the journal.
-	Cached bool
 }
 
 // Options configures a sweep.
 type Options struct {
 	// Jobs bounds concurrently running cells; 0 or 1 means serial.
 	Jobs int
-	// Timeout bounds each attempt of each cell (0 = none).
+	// Timeout bounds each cell (0 = none).
 	Timeout time.Duration
-	// Retries is how many times a failed cell is re-attempted. Timeouts,
-	// cancellations, and skips are never retried — a hung cell would just
-	// hang again.
-	Retries int
-	// Backoff schedules the wait before each re-attempt. The zero value
-	// selects DefaultBackoff (capped exponential with deterministic jitter);
-	// set Backoff.Base < 0 for immediate retries.
-	Backoff Backoff
 	// KeepGoing makes Run return a nil error even when cells failed, leaving
 	// per-cell errors in the Outcome; without it the first failure stops the
 	// sweep (in-flight cells finish, unstarted ones are marked ErrSkipped).
 	KeepGoing bool
-	// Journal, when non-nil, serves previously completed cells from its
-	// checkpoint and records each new success.
-	Journal *Journal
 	// Stop, when non-nil, requests graceful shutdown when it becomes
 	// readable: no new cells start, in-flight cells finish (or time out),
 	// and the remainder are marked ErrSkipped. Unlike ctx cancellation it is
 	// not an error: Run returns the partial Outcome with a nil error.
 	Stop <-chan struct{}
-	// OnCell, when non-nil, is called after each cell settles (success,
-	// failure, cache hit, or skip), serialized across workers.
-	OnCell func(key string, err error)
 }
 
 // Outcome is the result of a sweep: one Result per input cell, in input
 // order, plus tallies.
 type Outcome[T any] struct {
 	Results []Result[T]
-	Done    int // succeeded, including journal cache hits
+	Done    int // succeeded
 	Failed  int // ran and failed
 	Skipped int // never started (stop requested or fail-fast)
 }
@@ -181,9 +156,6 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 				stop()
 			}
 		}
-		if opts.OnCell != nil {
-			opts.OnCell(r.Key, r.Err)
-		}
 	}
 
 	// stopRequested gives halt and Stop priority over a free worker slot: a
@@ -251,136 +223,76 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 	return out, nil
 }
 
-// runCell serves one cell from the journal or executes it with retries.
+// runCell executes one cell under its deadline, converting a panic to a
+// *PanicError. If the cell ignores cancellation past the grace window its
+// goroutine is abandoned: it leaks until the cell function returns, but the
+// sweep moves on.
 //
-// When ctx carries a trace, the cell contributes a "cell <key>" span
-// covering journal lookup through final attempt. Only this goroutine
-// annotates or ends the span — the attempt goroutine (which may outlive an
-// abandoned cell) opens its own child spans instead — so a span is closed
-// exactly once even across panics, deadlines, and abandonment.
+// When ctx carries a trace, the cell contributes a "cell <key>" span. Only
+// this goroutine annotates or ends the span — the cell's own goroutine (which
+// may outlive an abandoned cell) opens child spans instead — so a span is
+// closed exactly once even across panics, deadlines, and abandonment.
 func runCell[T any](ctx context.Context, c Cell[T], opts Options) Result[T] {
 	ctx, span := tracing.Start(ctx, "cell "+c.Key)
 	defer span.End()
-	res := Result[T]{Key: c.Key}
-	if opts.Journal != nil {
-		if raw, ok := opts.Journal.Lookup(c.Key); ok {
-			// An entry that no longer unmarshals (the Result type changed
-			// between versions) is treated as absent, not fatal.
-			var v T
-			if err := json.Unmarshal(raw, &v); err == nil {
-				res.Value, res.Cached = v, true
-				span.SetAttr("journal_cached", true)
-				return res
-			}
-		}
+	timeout := opts.Timeout
+	if c.Timeout > 0 {
+		timeout = c.Timeout
 	}
-	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		timeout := opts.Timeout
-		if c.Timeout > 0 {
-			timeout = c.Timeout
-		}
-		v, err := runOnce(ctx, c, timeout)
-		res.Value, res.Err = v, err
-		if err == nil || attempt > opts.Retries || !retriable(err) {
-			break
-		}
-		// Capped exponential backoff with deterministic jitter before the
-		// next attempt; a canceled sweep stops waiting and keeps the cell's
-		// own error (the cancellation is reported at the Run level).
-		d := opts.Backoff.Delay(c.Key, attempt)
-		span.Event("retry")
-		span.SetAttr("backoff_ns", d.Nanoseconds())
-		if sleepFn(ctx, d) != nil {
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	span.SetAttr("attempts", res.Attempts)
-	if res.Err != nil {
-		span.SetAttr("error", res.Err.Error())
-	}
-	if res.Err == nil && opts.Journal != nil {
-		// Journal write failures are reported at Close, not charged to the
-		// cell: the value itself is good.
-		opts.Journal.Record(c.Key, res.Value)
-	}
-	return res
-}
-
-// retriable reports whether an error is worth one more attempt: timeouts and
-// cancellations are not (a hung cell hangs again; a canceled sweep is over),
-// everything else — including panics, which may be data races or transient
-// resource failures — is.
-func retriable(err error) bool {
-	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-}
-
-// runOnce executes one attempt under the per-cell timeout, converting panics
-// to *PanicError. If the cell ignores cancellation past the grace window its
-// goroutine is abandoned: it leaks until the cell function returns, but the
-// sweep moves on.
-func runOnce[T any](ctx context.Context, c Cell[T], timeout time.Duration) (T, error) {
 	cctx, cancel := ctx, func() {}
 	if timeout > 0 {
 		cctx, cancel = context.WithTimeout(ctx, timeout)
 	}
 	defer cancel()
 
-	type attempt struct {
-		v   T
-		err error
-	}
-	ch := make(chan attempt, 1)
+	ch := make(chan Result[T], 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				var zero T
-				ch <- attempt{zero, &PanicError{Value: r, Stack: debug.Stack()}}
+				ch <- Result[T]{Err: &PanicError{Value: r, Stack: debug.Stack()}}
 			}
 		}()
 		// The pprof labels make per-cell cost visible in CPU profiles:
-		// every sample inside the attempt carries the cell key plus any
-		// caller labels (e.g. lane count), so `go tool pprof -tagfocus`
-		// separates one cell — or one batch width — from a sweep.
+		// every sample inside the cell carries the cell key plus any caller
+		// labels (e.g. lane count), so `go tool pprof -tagfocus` separates
+		// one cell — or one batch width — from a sweep.
 		labels := make([]string, 0, 2+len(c.Labels))
 		labels = append(labels, "cell", c.Key)
 		labels = append(labels, c.Labels...)
-		var v T
-		var err error
+		var r Result[T]
 		pprof.Do(cctx, pprof.Labels(labels...), func(ctx context.Context) {
-			v, err = c.Run(ctx)
+			r.Value, r.Err = c.Run(ctx)
 		})
-		ch <- attempt{v, err}
+		ch <- r
 	}()
 
-	// recordSlack notes how much of the per-cell deadline was left when the
-	// attempt settled — the margin before the next tuning of Timeout starts
-	// killing healthy cells. The span is owned by this (runCell's) goroutine.
-	recordSlack := func() {
-		if timeout > 0 {
-			if dl, ok := cctx.Deadline(); ok {
-				tracing.SpanFromContext(ctx).SetAttr("deadline_slack_ns", time.Until(dl).Nanoseconds())
-			}
+	var r Result[T]
+	abandoned := false
+	select {
+	case r = <-ch:
+	case <-cctx.Done():
+		// Deadline or cancellation: give a cooperative cell a moment to
+		// unwind (and accept a success that races the deadline), then
+		// abandon it.
+		select {
+		case r = <-ch:
+		case <-time.After(abandonGrace):
+			span.Event("abandoned")
+			abandoned = true
+			r.Err = fmt.Errorf("runner: cell %q abandoned (did not stop within %v of cancellation): %w",
+				c.Key, abandonGrace, cctx.Err())
 		}
 	}
-	select {
-	case a := <-ch:
-		recordSlack()
-		return a.v, a.err
-	case <-cctx.Done():
+	// deadline_slack_ns notes how much of the per-cell deadline was left
+	// when the cell returned — the margin before the next tuning of Timeout
+	// starts killing healthy cells.
+	if timeout > 0 && !abandoned {
+		dl, _ := cctx.Deadline()
+		span.SetAttr("deadline_slack_ns", time.Until(dl).Nanoseconds())
 	}
-	// Deadline or cancellation: give a cooperative cell a moment to unwind
-	// (and accept a success that races the deadline), then abandon it.
-	select {
-	case a := <-ch:
-		recordSlack()
-		return a.v, a.err
-	case <-time.After(abandonGrace):
-		tracing.SpanFromContext(ctx).Event("abandoned")
-		var zero T
-		return zero, fmt.Errorf("runner: cell %q abandoned (did not stop within %v of cancellation): %w",
-			c.Key, abandonGrace, cctx.Err())
+	if r.Err != nil {
+		span.SetAttr("error", r.Err.Error())
 	}
+	r.Key = c.Key
+	return r
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,63 +124,33 @@ func TestTimeoutFiresAndIsReported(t *testing.T) {
 	}
 }
 
-func TestRetryOnTransientFailure(t *testing.T) {
-	tries := 0
-	cells := []Cell[int]{{Key: "flaky", Run: func(context.Context) (int, error) {
-		tries++
-		if tries == 1 {
-			return 0, errors.New("transient")
-		}
-		return 42, nil
-	}}}
-	out, err := Run(context.Background(), cells, Options{Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Results[0].Value != 42 || out.Results[0].Attempts != 2 {
-		t.Fatalf("flaky cell = %+v, want value 42 after 2 attempts", out.Results[0])
-	}
-}
-
-// TestSettledOncePerCell: Settled sees each cell's final Result exactly
-// once — after the last retry, from the journal, or as skipped — before
-// OnCell.
+// TestSettledOncePerCell: Settled sees each cell's Result exactly once —
+// when it finishes or as skipped — and a failed cell runs exactly once.
 func TestSettledOncePerCell(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Record("cached", 7)
 	var order []string
 	settled := func(r Result[int]) { order = append(order, fmt.Sprintf("settled %s %d %v", r.Key, r.Value, r.Err)) }
-	tries := 0
+	runs := 0
 	cells := []Cell[int]{
-		{Key: "cached", Settled: settled, Run: func(context.Context) (int, error) { return 0, errors.New("ran") }},
-		{Key: "flaky", Settled: settled, Run: func(context.Context) (int, error) {
-			if tries++; tries == 1 {
-				return 1, errors.New("transient")
-			}
-			return 42, nil
-		}},
-		{Key: "bad", Settled: settled, Run: func(context.Context) (int, error) { return 3, errors.New("broken") }},
+		{Key: "ok", Settled: settled, Run: func(context.Context) (int, error) { return 1, nil }},
+		{Key: "bad", Settled: settled, Run: func(context.Context) (int, error) { runs++; return 3, errors.New("broken") }},
 		{Key: "late", Settled: settled, Run: func(context.Context) (int, error) { return 4, nil }},
 	}
-	Run(context.Background(), cells, Options{Retries: 1, Backoff: Backoff{Base: -1}, Journal: j,
-		OnCell: func(key string, err error) { order = append(order, "oncell "+key) }})
+	Run(context.Background(), cells, Options{})
 	want := []string{
-		"settled cached 7 <nil>", "oncell cached",
-		"settled flaky 42 <nil>", "oncell flaky",
-		"settled bad 3 broken", "oncell bad",
-		"settled late 0 runner: cell skipped", "oncell late",
+		"settled ok 1 <nil>",
+		"settled bad 3 broken",
+		"settled late 0 runner: cell skipped",
 	}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("settlement order:\n got %q\nwant %q", order, want)
 	}
+	if runs != 1 {
+		t.Errorf("failed cell ran %d times, want 1", runs)
+	}
 }
 
-// TestCellTimeoutOverridesOptions: a cell's own Timeout bounds its attempts
-// in place of Options.Timeout; other cells keep the sweep-wide one.
+// TestCellTimeoutOverridesOptions: a cell's own Timeout bounds it in place
+// of Options.Timeout; other cells keep the sweep-wide one.
 func TestCellTimeoutOverridesOptions(t *testing.T) {
 	wait := func(ctx context.Context) (int, error) {
 		select {
@@ -216,13 +183,12 @@ func TestTimeoutIsNotRetried(t *testing.T) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	}}}
-	out, _ := Run(context.Background(), cells,
-		Options{Timeout: 10 * time.Millisecond, Retries: 3, KeepGoing: true})
+	out, _ := Run(context.Background(), cells, Options{Timeout: 10 * time.Millisecond, KeepGoing: true})
 	if got := atomic.LoadInt32(&tries); got != 1 {
-		t.Errorf("timed-out cell attempted %d times, want 1", got)
+		t.Errorf("timed-out cell ran %d times, want 1", got)
 	}
-	if out.Results[0].Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1", out.Results[0].Attempts)
+	if !errors.Is(out.Results[0].Err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want deadline exceeded", out.Results[0].Err)
 	}
 }
 
@@ -252,149 +218,6 @@ func TestStopChannelGracefulSkip(t *testing.T) {
 	}
 	if !errors.Is(out.Results[1].Err, ErrSkipped) {
 		t.Errorf("queued cell = %+v, want ErrSkipped", out.Results[1])
-	}
-}
-
-func TestJournalRoundTripResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-
-	// First pass: two successes, one failure.
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := []Cell[int]{
-		intCell("a", 10),
-		{Key: "b", Run: func(context.Context) (int, error) { return 0, errors.New("first pass fails") }},
-		intCell("c", 30),
-	}
-	out, err := Run(context.Background(), cells, Options{Journal: j, KeepGoing: true})
-	if err != nil || out.Done != 2 || out.Failed != 1 {
-		t.Fatalf("first pass: %v %+v", err, out)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second pass resumes: a and c must come from the journal, only b runs.
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 2 {
-		t.Fatalf("Resumed() = %d, want 2", j2.Resumed())
-	}
-	executed := map[string]bool{}
-	cells2 := []Cell[int]{
-		{Key: "a", Run: func(context.Context) (int, error) { executed["a"] = true; return -1, nil }},
-		{Key: "b", Run: func(context.Context) (int, error) { executed["b"] = true; return 20, nil }},
-		{Key: "c", Run: func(context.Context) (int, error) { executed["c"] = true; return -1, nil }},
-	}
-	out2, err := Run(context.Background(), cells2, Options{Journal: j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if executed["a"] || executed["c"] || !executed["b"] {
-		t.Fatalf("executed = %v, want only b", executed)
-	}
-	want := map[string]int{"a": 10, "b": 20, "c": 30}
-	for _, r := range out2.Results {
-		if r.Value != want[r.Key] {
-			t.Errorf("%s = %d, want %d", r.Key, r.Value, want[r.Key])
-		}
-	}
-	if !out2.Results[0].Cached || out2.Results[1].Cached || !out2.Results[2].Cached {
-		t.Errorf("cached flags = %v %v %v, want true false true",
-			out2.Results[0].Cached, out2.Results[1].Cached, out2.Results[2].Cached)
-	}
-}
-
-func TestJournalSkipsCorruptLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Record("good", 5)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write from a killed process.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"v":1,"key":"torn","val`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 1 {
-		t.Fatalf("Resumed() = %d, want 1 (corrupt line skipped)", j2.Resumed())
-	}
-	if _, ok := j2.Lookup("good"); !ok {
-		t.Error("intact entry lost")
-	}
-	if _, ok := j2.Lookup("torn"); ok {
-		t.Error("corrupt entry resurrected")
-	}
-}
-
-// TestJournalMidWriteFailureLeavesResumableJournal: a write failure halfway
-// through a sweep (the fd goes bad under the journal — disk full, killed
-// process, revoked mount) must not poison the checkpoint: entries recorded
-// before the failure stay resumable, later records are served from memory
-// for the running sweep, and Close surfaces the sticky write error.
-func TestJournalMidWriteFailureLeavesResumableJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Record("before", 1)
-	// Kill the fd out from under the journal: every later write fails the
-	// way it would if the process lost the file mid-sweep.
-	if err := j.f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j.Record("after", 2)
-
-	// The running sweep still benefits from the in-memory entry.
-	if _, ok := j.Lookup("after"); !ok {
-		t.Error("in-memory entry lost after write failure")
-	}
-	// fail() is what Record's marshal path uses; a direct failure must also
-	// be sticky and must not displace the first error.
-	j.fail(errors.New("second failure"))
-	err = j.Close()
-	if err == nil {
-		t.Fatal("Close() = nil, want the sticky write error")
-	}
-	if got := err.Error(); !strings.Contains(got, `"after"`) {
-		t.Errorf("Close() = %v, want the first (mid-write) failure", err)
-	}
-
-	// The journal on disk is still a valid checkpoint: resuming loads the
-	// pre-failure entry and reruns only the lost cell.
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 1 {
-		t.Fatalf("Resumed() = %d, want 1", j2.Resumed())
-	}
-	if _, ok := j2.Lookup("before"); !ok {
-		t.Error("pre-failure entry lost")
-	}
-	if _, ok := j2.Lookup("after"); ok {
-		t.Error("failed write resurrected on resume")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCellSpansCloseOnFaults checks that every cell opened under a trace ends
-// exactly once even when cells panic, retry, time out, or are abandoned for
+// exactly once even when cells panic, time out, or are abandoned for
 // ignoring cancellation. Run under -race this also exercises the span
 // ownership rule: attempt goroutines never annotate the cell span directly.
 func TestCellSpansCloseOnFaults(t *testing.T) {
@@ -38,7 +38,6 @@ func TestCellSpansCloseOnFaults(t *testing.T) {
 	out, err := Run(ctx, cells, Options{
 		Jobs:      3,
 		Timeout:   30 * time.Millisecond,
-		Retries:   1,
 		KeepGoing: true,
 	})
 	root.End()
@@ -64,9 +63,6 @@ func TestCellSpansCloseOnFaults(t *testing.T) {
 			continue
 		}
 		closed[sp.Name]++
-		if sp.Attrs["attempts"] == nil {
-			t.Errorf("span %q missing attempts attr: %v", sp.Name, sp.Attrs)
-		}
 	}
 	for _, key := range []string{"ok", "boom", "hang"} {
 		if n := closed["cell "+key]; n != 1 {
@@ -74,14 +70,23 @@ func TestCellSpansCloseOnFaults(t *testing.T) {
 		}
 	}
 
-	// Fault detail lands on the right spans: the panic cell records its
-	// retry and error, the abandoned cell records the abandonment event.
+	// Fault detail lands on the right spans: the cells that returned record
+	// their deadline slack, the panic cell its error, and the abandoned cell
+	// the abandonment event and no slack.
 	byName := map[string]tracing.SpanData{}
 	for _, sp := range spans {
 		byName[sp.Name] = sp
 	}
-	if sp := byName["cell boom"]; sp.Attrs["error"] == nil || sp.Attrs["attempts"] != 2 {
-		t.Errorf("panic cell span = %+v, want error attr and 2 attempts", sp.Attrs)
+	for _, key := range []string{"ok", "boom"} {
+		if sp := byName["cell "+key]; sp.Attrs["deadline_slack_ns"] == nil {
+			t.Errorf("cell %q span = %+v, want deadline_slack_ns", key, sp.Attrs)
+		}
+	}
+	if sp := byName["cell boom"]; sp.Attrs["error"] == nil {
+		t.Errorf("panic cell span = %+v, want error attr", sp.Attrs)
+	}
+	if sp := byName["cell hang"]; sp.Attrs["deadline_slack_ns"] != nil || sp.Attrs["error"] == nil {
+		t.Errorf("abandoned cell span = %+v, want error and no deadline_slack_ns", sp.Attrs)
 	}
 	var abandoned bool
 	for _, ev := range byName["cell hang"].Events {

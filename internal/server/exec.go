@@ -15,8 +15,8 @@ import (
 )
 
 // cellSpec is one validated unit of simulation work: a named program under
-// a full configuration, with the stable key the result cache, singleflight,
-// and journal-style identities all share.
+// a full configuration, with the stable key the result cache and
+// singleflight share.
 type cellSpec struct {
 	// benchmark or pattern names the program, or trace holds an uploaded
 	// recorded stream; exactly one is set.
@@ -315,7 +315,6 @@ func (s *Server) simulateCell(ctx context.Context, sp cellSpec) ([]byte, error) 
 	cellStart := time.Now()
 	out, _ := runner.Run(tracing.Adopt(s.baseCtx, ctx), []runner.Cell[[]byte]{cell}, runner.Options{
 		Timeout:   s.opts.CellTimeout,
-		Retries:   s.opts.Retries,
 		KeepGoing: true,
 	})
 	r := out.Results[0]

@@ -72,8 +72,8 @@ func TestJobTraceTree(t *testing.T) {
 		switch {
 		case strings.HasPrefix(sp.Name, "cell "):
 			cellSpans++
-			if sp.Attrs["journal_cached"] == nil && sp.Attrs["attempts"] == nil {
-				t.Errorf("cell span %q missing attempts attr: %v", sp.Name, sp.Attrs)
+			if sp.Attrs["error"] != nil {
+				t.Errorf("cell span %q of a successful job carries an error: %v", sp.Name, sp.Attrs)
 			}
 		case strings.HasPrefix(sp.Name, "simulate "):
 			simSpans++

@@ -44,11 +44,10 @@ type Options struct {
 	// QueueLimit bounds admitted-but-unfinished cells; past it requests are
 	// rejected with 429 + Retry-After. Default 1024; < 0 for unlimited.
 	QueueLimit int
-	// CellTimeout bounds each cell attempt (runner deadline + abandonment).
-	// Default 5m; < 0 for none.
+	// CellTimeout bounds each cell (runner deadline + abandonment). Default
+	// 5m; < 0 for none. A cell runs once: simulations are deterministic, so
+	// a failed cell would fail again.
 	CellTimeout time.Duration
-	// Retries re-attempts failed (non-timeout) cells. Default 0.
-	Retries int
 	// TraceCacheBytes budgets the shared trace cache. Default 256 MiB;
 	// < 0 disables trace caching (every run re-emulates).
 	TraceCacheBytes int64
@@ -579,7 +578,7 @@ func (s *Server) runJob(j *job, specs []cellSpec, release func()) {
 			return struct{}{}, nil
 		}}
 	}
-	// The per-cell deadline, retry, and panic story lives inside
+	// The per-cell deadline and panic story lives inside
 	// executeCell's own runner invocation (shared with /v1/simulate); this
 	// outer run provides the fan-out and honors server shutdown.
 	runner.Run(jctx, cells, runner.Options{Jobs: s.opts.MaxParallel, KeepGoing: true})

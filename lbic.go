@@ -164,8 +164,8 @@ const (
 )
 
 // PortConfig describes one cache port organization instance. It marshals to
-// JSON with the kind and selector as their canonical name tokens, so the CLI,
-// the lbicd service schema, and sweep journals share one serialization; the
+// JSON with the kind and selector as their canonical name tokens, so the CLI
+// and the lbicd service schema share one serialization; the
 // compact one-line form is Key (parsed back by ParsePortName). Custom ports
 // do not round-trip — the factory is a function — and fail to unmarshal.
 type PortConfig struct {
@@ -190,7 +190,7 @@ type PortConfig struct {
 	// Speculative selects Coded's single-read reconstruction variant
 	// (speculative parity read, replay on stale code).
 	Speculative bool `json:"speculative,omitempty"`
-	// Label distinguishes custom arbiters from each other in names, journal
+	// Label distinguishes custom arbiters from each other in names, sweep
 	// cell keys, and the lbicd result cache (see CustomPort).
 	Label string `json:"label,omitempty"`
 
@@ -245,8 +245,8 @@ func (p PortConfig) Name() string {
 
 // Key returns the port's full configuration identity: Name plus the
 // store-queue depth override, which the display name deliberately omits.
-// It is the serialization used by sweep journal cell keys and the lbicd
-// result cache, and (custom ports aside) ParsePortName inverts it.
+// It is the serialization used by sweep cell keys and the lbicd result
+// cache, and (custom ports aside) ParsePortName inverts it.
 func (p PortConfig) Key() string {
 	name := p.Name()
 	if p.StoreQueueDepth != 0 {
@@ -404,7 +404,10 @@ func defaultCharacterizeGeom() Geometry {
 
 // Characterize measures a program's Table 2 statistics (memory instruction
 // fraction, store-to-load ratio, miss rate against opts.Geom) functionally.
-// Canceling ctx stops a recording in progress (see CharacterizeOptions.Trace).
+// ctx is consulted only while the stream is sourced from opts.Trace: a
+// canceled ctx returns before a recording starts or while another caller
+// records, but a recording in progress and the measurement pass itself run
+// to their end.
 func Characterize(ctx context.Context, prog *Program, opts CharacterizeOptions) (BenchmarkStats, error) {
 	geom := opts.Geom
 	if geom == (Geometry{}) {
