@@ -47,8 +47,11 @@ bench:
 # one table sweep so the lane-batched sweep path is exercised end to end. It
 # also fails when a plain build of lbictables, lbicd or lbicsim no longer
 # picks up its default.pgo, or when the three profiles differ (make pgo
-# writes one merged profile to all three), so a moved, deleted or stale
-# profile cannot silently drop the gain.
+# writes one merged profile to all three), so a moved or deleted profile
+# cannot silently drop the gain. Last, every function holding at least 0.5%
+# of the profile's flat samples must still exist: a build without inlining
+# keeps a symbol for every reachable function, so a name missing from it was
+# renamed or deleted after the profile was taken, and the profile is stale.
 PGO_MAINS = lbictables lbicd lbicsim
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
@@ -61,6 +64,14 @@ bench-smoke:
 		cmp cmd/lbictables/default.pgo cmd/$$cmd/default.pgo \
 		|| { echo "cmd/$$cmd/default.pgo differs from cmd/lbictables/default.pgo; run make pgo"; exit 1; }; \
 	done
+	$(GO) build -pgo=off -gcflags=all=-l -o /tmp/lbictables-noinline ./cmd/lbictables
+	$(GO) tool nm /tmp/lbictables-noinline | sed -E 's/^ *[0-9a-f]* +[A-Za-z] //; s/\.abi0$$//' \
+		> /tmp/lbictables-noinline.syms
+	stale=$$($(GO) tool pprof -top cmd/lbictables/default.pgo 2>/dev/null \
+		| awk '$$2 ~ /%$$/ && $$2 + 0 >= 0.5' | sed -E 's/^ *([^ ]+ +){5}//; s/ \(inline\)$$//' \
+		| grep -vxFf /tmp/lbictables-noinline.syms); \
+	[ -z "$$stale" ] || { echo "cmd/lbictables/default.pgo is stale; run make pgo. Hot functions it names that no longer exist:"; \
+		echo "$$stale"; exit 1; }
 
 # pgo regenerates the profile-guided-optimization profile that a plain go
 # build (and so lbicbench/run.sh) applies to lbictables, lbicd and lbicsim,

@@ -105,7 +105,7 @@ func main() {
 	if !*quiet {
 		sw.OnCell = func(key string, err error) {
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "  FAIL %s: %v\n", key, err)
+				fmt.Fprintf(os.Stderr, "  FAIL %s: %s\n", key, experiments.FirstLine(err))
 			}
 		}
 	}
@@ -133,6 +133,11 @@ func main() {
 	progress := func(name string) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "  %s...\n", name)
+		}
+	}
+	note := func(what string) {
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "generating %s...\n", what)
 		}
 	}
 	render := func(t *stats.Table) {
@@ -233,15 +238,8 @@ func main() {
 	// stays machine-readable. Failed-but-rendered sweeps exit zero — the
 	// tables are the product, and the appendix names each hole and why.
 	if fails := sw.Failures(); len(fails) > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d cell(s) failed or were skipped:\n", len(fails))
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Key, f.Err)
-		}
+		experiments.WriteFailures(os.Stderr, fails)
 	}
-}
-
-func note(what string) {
-	fmt.Fprintf(os.Stderr, "generating %s...\n", what)
 }
 
 func fatal(err error) {

@@ -59,3 +59,12 @@ func TestAblationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestQuietIsQuiet: -q silences every progress line, so a sweep without
+// failures writes nothing to stderr.
+func TestQuietIsQuiet(t *testing.T) {
+	stderr, status := lbictables(t, "-table", "2", "-insts", "2000", "-jobs", "1", "-q")
+	if status != 0 || stderr != "" {
+		t.Errorf("exit %d, stderr %q; want exit 0 and no stderr", status, stderr)
+	}
+}

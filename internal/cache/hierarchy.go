@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lbic/internal/metrics"
 	"lbic/internal/recycle"
@@ -138,11 +139,74 @@ func (s Stats) MissRate() float64 {
 	return float64(s.MissesNew+s.MissesMerge) / float64(s.Accesses)
 }
 
+// mshr is one miss status holding register: an L1 line whose fill is
+// outstanding and the requests waiting for it.
 type mshr struct {
-	line    uint64 // L1 line address
-	store   bool   // a store is waiting: install dirty
-	sent    bool
-	targets []int64
+	line    uint64  // L1 line address
+	store   bool    // a store is waiting: install dirty
+	targets []int64 // waiting requests' tokens, in arrival order
+}
+
+// mshrIndex maps each line with a live MSHR to the MSHR's slot. It is open
+// addressed with linear probing over a power-of-two table of at least twice
+// as many cells as MSHRs, so every probe meets an empty cell, and a removal
+// shifts the rest of its probe run back instead of leaving a tombstone.
+type mshrIndex struct {
+	cells []mshrEntry
+	shift uint // 64 - log2(len(cells)), for Fibonacci hashing
+	lbits uint // log2(L1 line size): lines hash by line number
+}
+
+// mshrEntry is one index cell. slot is the MSHR's slot number plus one, so
+// the zero entry is empty.
+type mshrEntry struct {
+	line uint64
+	slot int32
+}
+
+func newMSHRIndex(mshrs int, lineBits int) mshrIndex {
+	n := 2
+	for n < 2*mshrs {
+		n *= 2
+	}
+	return mshrIndex{cells: indexPool.Make(n),
+		shift: uint(64 - bits.TrailingZeros(uint(n))), lbits: uint(lineBits)}
+}
+
+// home returns line's home cell.
+func (x *mshrIndex) home(line uint64) int {
+	return int((line >> x.lbits) * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// find returns the cell holding line and its slot, or, when line is not
+// indexed, the empty cell where put would place it and -1.
+func (x *mshrIndex) find(line uint64) (cell int, slot int32) {
+	mask := len(x.cells) - 1
+	for i := x.home(line); ; i = (i + 1) & mask {
+		if e := x.cells[i]; e.slot == 0 || e.line == line {
+			return i, e.slot - 1
+		}
+	}
+}
+
+// put indexes line at slot in the empty cell find returned for it.
+func (x *mshrIndex) put(cell int, line uint64, slot int32) {
+	x.cells[cell] = mshrEntry{line: line, slot: slot + 1}
+}
+
+// remove drops line, which must be indexed. Each later entry of its probe
+// run whose own probe passes the hole moves back into it, so no probe for a
+// line still indexed stops short at the emptied cell.
+func (x *mshrIndex) remove(line uint64) {
+	mask := len(x.cells) - 1
+	i, _ := x.find(line)
+	for j := (i + 1) & mask; x.cells[j].slot != 0; j = (j + 1) & mask {
+		if (j-x.home(x.cells[j].line))&mask >= (j-i)&mask {
+			x.cells[i] = x.cells[j]
+			i = j
+		}
+	}
+	x.cells[i] = mshrEntry{}
 }
 
 // Hierarchy is the timed two-level memory system. Drive it one cycle at a
@@ -150,15 +214,24 @@ type mshr struct {
 // accesses), then Access for each granted request, then collect Completions
 // with Drain.
 type Hierarchy struct {
-	params    Params
-	l1        *Array
-	l2        *Array
-	mshrs     map[uint64]*mshr
-	mshrPool  []*mshr    // retired mshr structs, recycled to avoid allocation
-	queue     []uint64   // line addresses with unsent L2 requests, FIFO from qHead
-	qHead     int        // consumed prefix of queue (compacted, never regrown)
-	fills     [][]uint64 // fill events, a ring indexed by cycle
-	fillBuf   []uint64   // the slots' initial backing, from fillPool
+	params Params
+	l1     *Array
+	l2     *Array
+
+	// The MSHR file is fixed at Params.MSHRs slots. Access finds a line's
+	// slot through the index, the file's only lookup; the unsent ring and
+	// the fill ring carry slot numbers, so send and fill index their MSHR
+	// directly.
+	mshrs      []mshr
+	targetBuf  []int64 // the slots' initial target backing, from targetPool
+	free       []int32 // free slot numbers, a stack
+	index      mshrIndex
+	unsent     []int32 // ring of slots whose L2 request is not sent, FIFO
+	unsentHead int
+	unsentLen  int
+
+	fills     [][]int32 // slots whose fill is due, a ring indexed by cycle
+	fillBuf   []int32   // the fill slots' initial backing, from slotPool
 	fillMask  uint64
 	sendBW    int // L2 requests per cycle
 	sendLeft  int // request slots remaining this cycle
@@ -177,8 +250,13 @@ type Hierarchy struct {
 
 // Storage pools for the buffers a hierarchy sizes at construction (see
 // recycle): NewHierarchy takes from them and Release returns to them.
+// slotPool serves every buffer of slot numbers: the free stack, the unsent
+// ring and the fill ring.
 var (
-	fillPool       recycle.Slices[uint64]
+	mshrPool       recycle.Slices[mshr]
+	targetPool     recycle.Slices[int64]
+	indexPool      recycle.Slices[mshrEntry]
+	slotPool       recycle.Slices[int32]
 	completionPool recycle.Slices[Completion]
 )
 
@@ -186,9 +264,13 @@ var (
 // slot and of a completion buffer. Each is above the most the ten kernels
 // reach under PortAxis at 100k instructions (2 fills due in one cycle, 23
 // completions drained in one); a run past them grows the buffer by append.
+// targetSlotCap is the initial capacity of an MSHR's target list, Table 1's
+// 16 targets: at DefaultParams no list grows, and a larger MaxTargets grows
+// a list by append, so the file never preallocates MSHRs x MaxTargets.
 const (
 	fillSlotCap   = 4
 	completionCap = 32
+	targetSlotCap = 16
 )
 
 // NewHierarchy returns an empty hierarchy.
@@ -214,14 +296,19 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: L2: %w", err)
 	}
+	tcap := min(p.MaxTargets, targetSlotCap)
 	h := &Hierarchy{
 		params:    p,
 		l1:        l1,
 		l2:        l2,
-		mshrs:     make(map[uint64]*mshr),
+		mshrs:     mshrPool.Make(p.MSHRs),
+		targetBuf: targetPool.Make(p.MSHRs * tcap),
+		free:      slotPool.Make(p.MSHRs),
+		index:     newMSHRIndex(p.MSHRs, p.L1.LineBits()),
+		unsent:    slotPool.Make(p.MSHRs),
 		sendBW:    bw,
-		fills:     make([][]uint64, ring),
-		fillBuf:   fillPool.Make(ring * fillSlotCap),
+		fills:     make([][]int32, ring),
+		fillBuf:   slotPool.Make(ring * fillSlotCap),
 		fillMask:  uint64(ring - 1),
 		completed: completionPool.Make(completionCap)[:0],
 		drained:   completionPool.Make(completionCap)[:0],
@@ -230,6 +317,10 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 			"mshrs", p.MSHRs+1),
 		lineShift: uint(p.L1.LineBits()),
 	}
+	for i := range h.mshrs {
+		h.mshrs[i].targets = h.targetBuf[i*tcap : i*tcap : (i+1)*tcap]
+		h.free[i] = int32(p.MSHRs - 1 - i)
+	}
 	for i := range h.fills {
 		h.fills[i] = h.fillBuf[i*fillSlotCap : i*fillSlotCap : (i+1)*fillSlotCap]
 	}
@@ -237,15 +328,21 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 }
 
 // Release hands the hierarchy's storage back for a later NewHierarchy: both
-// arrays' ways, the fill ring and the completion buffers. Stats and the
-// MSHR occupancy histogram stay valid; nothing else of the hierarchy may be
-// used afterwards, nor the slice the last Drain returned.
+// arrays' ways, the MSHR file, the fill ring and the completion buffers.
+// Stats and the MSHR occupancy histogram stay valid; nothing else of the
+// hierarchy may be used afterwards, nor the slice the last Drain returned.
 func (h *Hierarchy) Release() {
 	h.l1.release()
 	h.l2.release()
-	fillPool.Put(h.fillBuf)
+	mshrPool.Put(h.mshrs)
+	targetPool.Put(h.targetBuf)
+	indexPool.Put(h.index.cells)
+	slotPool.Put(h.free)
+	slotPool.Put(h.unsent)
+	slotPool.Put(h.fillBuf)
 	completionPool.Put(h.completed)
 	completionPool.Put(h.drained)
+	h.mshrs, h.targetBuf, h.index.cells, h.free, h.unsent = nil, nil, nil, nil, nil
 	h.fills, h.fillBuf, h.completed, h.drained = nil, nil, nil, nil
 }
 
@@ -268,31 +365,30 @@ func (h *Hierarchy) L2() *Array { return h.l2 }
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
 // OutstandingMisses returns the number of live MSHRs.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshrs) }
+func (h *Hierarchy) OutstandingMisses() int { return len(h.mshrs) - len(h.free) }
 
 // Advance performs the per-cycle work for cycle now: deliver fills due this
 // cycle (installing lines, completing attached requests) and send at most one
 // queued miss request to L2. Call exactly once per cycle, before Access.
 func (h *Hierarchy) Advance(now uint64) {
-	h.mshrOcc.Observe(len(h.mshrs))
+	h.mshrOcc.Observe(h.OutstandingMisses())
 	// Deliver fills scheduled for this cycle.
 	slot := now & h.fillMask
-	for _, line := range h.fills[slot] {
-		h.fill(now, line)
+	for _, s := range h.fills[slot] {
+		h.fill(now, s)
 	}
 	h.fills[slot] = h.fills[slot][:0]
 
 	// Up to sendBW new L2 requests per cycle, queued misses first.
 	h.sendLeft = h.sendBW
-	for h.sendLeft > 0 && h.qHead < len(h.queue) && h.pendingL2 < h.params.MaxPending {
-		line := h.queue[h.qHead]
-		h.qHead++
-		h.send(now, line)
+	for h.sendLeft > 0 && h.unsentLen > 0 && h.pendingL2 < h.params.MaxPending {
+		s := h.unsent[h.unsentHead]
+		if h.unsentHead++; h.unsentHead == len(h.unsent) {
+			h.unsentHead = 0
+		}
+		h.unsentLen--
+		h.send(now, s)
 		h.sendLeft--
-	}
-	if h.qHead == len(h.queue) {
-		h.queue = h.queue[:0]
-		h.qHead = 0
 	}
 }
 
@@ -301,7 +397,7 @@ func (h *Hierarchy) Advance(now uint64) {
 // could send. It returns MaxUint64 when fully idle. The core's fast-forward
 // uses it to bound how far it may safely skip.
 func (h *Hierarchy) NextActivity(now uint64) uint64 {
-	if h.qHead < len(h.queue) && h.pendingL2 < h.params.MaxPending {
+	if h.unsentLen > 0 && h.pendingL2 < h.params.MaxPending {
 		return now + 1
 	}
 	ring := uint64(len(h.fills))
@@ -318,16 +414,12 @@ func (h *Hierarchy) NextActivity(now uint64) uint64 {
 // sample, which is constant across the span — so a fast-forwarded run's
 // histogram is bit-identical to a stepped run's.
 func (h *Hierarchy) SkipCycles(n uint64) {
-	h.mshrOcc.ObserveN(len(h.mshrs), n)
+	h.mshrOcc.ObserveN(h.OutstandingMisses(), n)
 }
 
-// send issues the L2 lookup for an L1 line and schedules its fill.
-func (h *Hierarchy) send(now uint64, line uint64) {
-	m := h.mshrs[line]
-	if m == nil || m.sent {
-		return
-	}
-	m.sent = true
+// send issues the L2 lookup for MSHR slot s's line and schedules its fill.
+func (h *Hierarchy) send(now uint64, s int32) {
+	line := h.mshrs[s].line
 	h.pendingL2++
 	h.stats.L2Accesses++
 	lat := h.params.L2Lat
@@ -339,19 +431,17 @@ func (h *Hierarchy) send(now uint64, line uint64) {
 		h.l2.Install(line, false)
 	}
 	at := now + uint64(lat)
-	h.fills[at&h.fillMask] = append(h.fills[at&h.fillMask], line)
+	h.fills[at&h.fillMask] = append(h.fills[at&h.fillMask], s)
 }
 
-// fill installs a returned line into L1 and completes attached requests.
-func (h *Hierarchy) fill(now uint64, line uint64) {
-	m := h.mshrs[line]
-	if m == nil {
-		return
-	}
-	delete(h.mshrs, line)
+// fill installs MSHR slot s's returned line into L1, completes the attached
+// requests and frees the slot.
+func (h *Hierarchy) fill(now uint64, s int32) {
+	m := &h.mshrs[s]
+	h.index.remove(m.line)
 	h.pendingL2--
 	h.stats.Fills++
-	victim, victimDirty, evicted := h.l1.Install(line, m.store)
+	victim, victimDirty, evicted := h.l1.Install(m.line, m.store)
 	if evicted && victimDirty {
 		h.stats.Writebacks++
 		if h.events != nil {
@@ -367,18 +457,7 @@ func (h *Hierarchy) fill(now uint64, line uint64) {
 	for _, t := range m.targets {
 		h.completed = append(h.completed, Completion{Token: t, At: now + 1})
 	}
-	h.mshrPool = append(h.mshrPool, m)
-}
-
-// newMSHR recycles a retired mshr or allocates the pool's first few.
-func (h *Hierarchy) newMSHR(line uint64) *mshr {
-	if n := len(h.mshrPool); n > 0 {
-		m := h.mshrPool[n-1]
-		h.mshrPool = h.mshrPool[:n-1]
-		*m = mshr{line: line, targets: m.targets[:0]}
-		return m
-	}
-	return &mshr{line: line}
+	h.free = append(h.free, s)
 }
 
 // Access performs one granted L1 access at cycle now. The token identifies
@@ -392,14 +471,18 @@ func (h *Hierarchy) Access(now uint64, addr uint64, write bool, token int64) Out
 		return Hit
 	}
 	line := h.params.L1.LineAddr(addr)
-	m := h.mshrs[line]
-	if m == nil {
-		if len(h.mshrs) >= h.params.MSHRs {
+	cell, s := h.index.find(line)
+	if s < 0 {
+		n := len(h.free)
+		if n == 0 {
 			h.stats.Blocked++
 			return Blocked
 		}
-		m = h.newMSHR(line)
-		h.mshrs[line] = m
+		s = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.index.put(cell, line, s)
+		m := &h.mshrs[s]
+		m.line, m.store, m.targets = line, write, append(m.targets[:0], token)
 		h.stats.MissesNew++
 		if h.events != nil {
 			h.events.Emit(trace.Event{Cycle: now, Kind: trace.EvMiss, Seq: -1,
@@ -408,24 +491,24 @@ func (h *Hierarchy) Access(now uint64, addr uint64, write bool, token int64) Out
 		// Send immediately if a request slot remains this cycle, else queue.
 		if h.sendLeft > 0 && h.pendingL2 < h.params.MaxPending {
 			h.sendLeft--
-			if write {
-				m.store = true
+			h.send(now, s)
+		} else {
+			i := h.unsentHead + h.unsentLen
+			if i >= len(h.unsent) {
+				i -= len(h.unsent)
 			}
-			m.targets = append(m.targets, token)
-			h.send(now, line)
-			return Miss
+			h.unsent[i] = s
+			h.unsentLen++
 		}
-		h.queue = append(h.queue, line)
-	} else {
-		if len(m.targets) >= h.params.MaxTargets {
-			h.stats.Blocked++
-			return Blocked
-		}
-		h.stats.MissesMerge++
+		return Miss
 	}
-	if write {
-		m.store = true
+	m := &h.mshrs[s]
+	if len(m.targets) >= h.params.MaxTargets {
+		h.stats.Blocked++
+		return Blocked
 	}
+	h.stats.MissesMerge++
+	m.store = m.store || write
 	m.targets = append(m.targets, token)
 	return Miss
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 func newHier(t *testing.T) *Hierarchy {
 	t.Helper()
@@ -278,5 +281,156 @@ func TestDrainBufferOwnership(t *testing.T) {
 	h.Access(first+1, 0xc0000, false, 3)
 	if got[0].Token != 2 {
 		t.Error("previous drain result was overwritten")
+	}
+}
+
+// TestMSHRIndexMatchesMap drives random lookups, inserts and removals
+// through the MSHR index and a map side by side. Half the candidate lines
+// hash to the table's last two cells, so probe runs wrap past its end and
+// removals shift entries back across the wrap; inserts are favoured, so the
+// index spends much of the run at full occupancy (MSHRs lines).
+func TestMSHRIndexMatchesMap(t *testing.T) {
+	for _, mshrs := range []int{1, 2, 3, 8, 64} {
+		const lineBits = 5
+		x := newMSHRIndex(mshrs, lineBits)
+		n := len(x.cells)
+		var lines []uint64
+		for l := uint64(1); len(lines) < 2*mshrs; l++ {
+			if x.home(l<<lineBits) >= n-2 {
+				lines = append(lines, l<<lineBits)
+			}
+		}
+		rng := rand.New(rand.NewPCG(uint64(mshrs), 7))
+		for len(lines) < 4*mshrs {
+			lines = append(lines, rng.Uint64()&^(1<<lineBits-1))
+		}
+		model := map[uint64]int32{}
+		var free []int32
+		for s := mshrs - 1; s >= 0; s-- {
+			free = append(free, int32(s))
+		}
+		full, wrapped := 0, 0
+		for step := 0; step < 20000; step++ {
+			line := lines[rng.IntN(len(lines))]
+			cell, slot := x.find(line)
+			want, ok := model[line]
+			if !ok {
+				want = -1
+			}
+			if slot != want {
+				t.Fatalf("mshrs %d step %d: find(%#x) = slot %d, want %d", mshrs, step, line, slot, want)
+			}
+			switch {
+			case ok && rng.IntN(3) == 0:
+				x.remove(line)
+				delete(model, line)
+				free = append(free, slot)
+			case !ok && len(free) > 0:
+				if x.cells[cell].slot != 0 {
+					t.Fatalf("mshrs %d step %d: find(%#x) returned occupied cell %d", mshrs, step, line, cell)
+				}
+				s := free[len(free)-1]
+				free = free[:len(free)-1]
+				x.put(cell, line, s)
+				model[line] = s
+			}
+			live := 0
+			for i, e := range x.cells {
+				if e.slot != 0 {
+					live++
+					if x.home(e.line) > i {
+						wrapped++
+					}
+				}
+			}
+			if live != len(model) {
+				t.Fatalf("mshrs %d step %d: %d cells in use, model holds %d", mshrs, step, live, len(model))
+			}
+			if len(model) == mshrs {
+				full++
+			}
+		}
+		if full < 1000 || mshrs > 1 && wrapped == 0 {
+			t.Errorf("mshrs %d: %d steps at full occupancy, %d wrapped cell-steps; the run must reach both",
+				mshrs, full, wrapped)
+		}
+	}
+}
+
+// TestSaturatedRunAllocatesNothing: a warm hierarchy kept saturated (every
+// MSHR live, new misses turned away, the unsent request ring never empty)
+// allocates nothing, however long it runs: a request queue that reclaimed
+// its consumed prefix only when it drained would grow here without bound.
+func TestSaturatedRunAllocatesNothing(t *testing.T) {
+	h := newHier(t)
+	var now uint64
+	next := uint64(0x100000)
+	run := func() {
+		for i := 0; i < 100_000; i++ {
+			h.Advance(now)
+			for k := 0; k < 3; k++ {
+				h.Access(now, next, k == 2, int64(next))
+				h.Access(now, next+8, false, int64(next+8)) // merges
+				next += 32
+			}
+			h.Drain()
+			if now > 200 && (h.unsentLen == 0 || h.OutstandingMisses() != h.params.MSHRs) {
+				t.Fatalf("cycle %d: %d unsent, %d live MSHRs; the sequence must saturate the file",
+					now, h.unsentLen, h.OutstandingMisses())
+			}
+			now++
+		}
+	}
+	if avg := testing.AllocsPerRun(1, run); avg != 0 {
+		t.Errorf("a saturated run allocates %.1f times, want 0", avg)
+	}
+	if h.Stats().Blocked == 0 || h.Stats().Fills == 0 {
+		t.Errorf("stats %+v: want both blocked misses and fills", h.Stats())
+	}
+}
+
+// TestLargeMSHRFile: the Validate limits of 65,536 MSHRs and targets build
+// a file whose targets are preallocated at 16 per MSHR, not MaxTargets, and
+// a target list past 16 grows and completes every request in order.
+func TestLargeMSHRFile(t *testing.T) {
+	p := DefaultParams()
+	p.MSHRs, p.MaxTargets = 65536, 65536
+	h, err := NewHierarchy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(h.targetBuf), p.MSHRs*targetSlotCap; got != want {
+		t.Errorf("preallocated %d targets, want %d", got, want)
+	}
+	h.Release()
+
+	p = DefaultParams()
+	p.MaxTargets = 40
+	if h, err = NewHierarchy(p); err != nil {
+		t.Fatal(err)
+	}
+	h.Advance(0)
+	for tok := int64(0); tok < 40; tok++ {
+		if out := h.Access(0, 0xd0000+uint64(tok%4)*8, false, tok); out != Miss {
+			t.Fatalf("target %d = %v, want Miss", tok, out)
+		}
+	}
+	if out := h.Access(0, 0xd0000, false, 40); out != Blocked {
+		t.Errorf("target 41 = %v, want Blocked", out)
+	}
+	var got []int64
+	for now := uint64(1); now < 64; now++ {
+		h.Advance(now)
+		for _, c := range h.Drain() {
+			got = append(got, c.Token)
+		}
+	}
+	if len(got) != 40 {
+		t.Fatalf("%d completions, want 40", len(got))
+	}
+	for i, tok := range got {
+		if tok != int64(i) {
+			t.Fatalf("completion %d is token %d, want arrival order", i, tok)
+		}
 	}
 }

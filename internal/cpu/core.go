@@ -187,7 +187,7 @@ type Core struct {
 	// LSQ-derived structures.
 	lsqCount    int
 	storeOrder  []orderRef // dispatched stores, FIFO from soHead; popped when address known
-	soHead      int        // consumed prefix of storeOrder (compacted, never reallocated)
+	soHead      int        // consumed prefix of storeOrder (compacted in place)
 	orderParked []int32    // loads blocked on unknown older store addresses
 	orderedMin  uint64     // barrier seq at the last orderParked scan (see releaseOrderParked)
 	fwd         fwdTable   // store-forwarding index by address granule
@@ -242,6 +242,7 @@ var (
 	linkPool     recycle.Slices[int32]
 	storeBufPool recycle.Slices[storeBufEntry]
 	wheelPool    recycle.Slices[event]
+	orderPool    recycle.Slices[orderRef]
 )
 
 // wheelSlotCap is the initial capacity of an event-wheel slot. The ten
@@ -277,6 +278,8 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 		ready:    make([]uint64, (cfg.RUUSize+63)/64),
 		storeBuf: storeBufPool.Make(cfg.StoreBufferSize),
 		wheelBuf: wheelPool.Make(wheelSize * wheelSlotCap),
+		// Sized for an LSQ full of stores; past that it grows by append.
+		storeOrder: orderPool.Make(cfg.LSQSize)[:0],
 		grantHist: metrics.NewHistogram("cpu.grants_per_cycle",
 			"port grants per cycle (arbiter bandwidth actually used)",
 			"grants", arb.PeakWidth()+1),
@@ -321,17 +324,19 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 }
 
 // Release hands the core's window storage back for a later New: the RUU
-// entries and dependent links, the pending-load window, the forwarding
-// table, the store buffer and the event-wheel slots. Stats, FastForwarded
-// and the metric objects stay valid; the core must not step afterwards.
+// entries and dependent links, the store order, the pending-load window,
+// the forwarding table, the store buffer and the event-wheel slots. Stats,
+// FastForwarded and the metric objects stay valid; the core must not step
+// afterwards.
 func (c *Core) Release() {
 	entryPool.Put(c.entries)
 	linkPool.Put(c.depNext)
 	storeBufPool.Put(c.storeBuf)
 	wheelPool.Put(c.wheelBuf)
+	orderPool.Put(c.storeOrder)
 	c.pending.release()
 	c.fwd.release()
-	c.entries, c.depNext, c.storeBuf, c.wheelBuf = nil, nil, nil, nil
+	c.entries, c.depNext, c.storeBuf, c.wheelBuf, c.storeOrder = nil, nil, nil, nil, nil
 	c.wheel = [wheelSize][]event{}
 }
 

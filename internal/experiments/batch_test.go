@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -130,13 +131,19 @@ func TestWorkloadMatrixLanedMatchesScalar(t *testing.T) {
 // its whole lane batch, because the simulator recovers the panic for the
 // batch, not per lane. Every member fails with the panic and settles once,
 // and the span tree records the one batch under the group's runner cell.
+// What lbictables prints of it, a FAIL progress line per member and the
+// failure appendix, carries the panic's stack once.
 func TestSweepPanickingLaneFailsItsBatch(t *testing.T) {
 	sw := NewSweep(5_000)
 	sw.Jobs = 2
 	sw.KeepGoing = true
 	sw.Spans = lbic.NewRequestTrace()
 	settled := map[string]int{}
-	sw.OnCell = func(key string, err error) { settled[key]++ }
+	var printed strings.Builder
+	sw.OnCell = func(key string, err error) {
+		settled[key]++
+		fmt.Fprintf(&printed, "  FAIL %s: %s\n", key, FirstLine(err))
+	}
 	var cells []cell[float64]
 	for _, port := range []lbic.PortConfig{panicPort(), lbic.BankedPort(4), lbic.LBICPort(4, 2)} {
 		cells = append(cells, sw.simPattern("unit-stride", port))
@@ -192,6 +199,23 @@ func TestSweepPanickingLaneFailsItsBatch(t *testing.T) {
 	}
 	if runnerCells != 1 || batches != 1 || sims != 3 {
 		t.Errorf("%d runner cell, %d batch and %d simulate spans, want 1, 1 and 3", runnerCells, batches, sims)
+	}
+
+	WriteFailures(&printed, fails)
+	out := printed.String()
+	if n := strings.Count(out, "runtime/debug.Stack"); n != 1 {
+		t.Errorf("the panic's stack is printed %d times, want once:\n%s", n, out)
+	}
+	if n := strings.Count(out, "grant exploded"); n != len(cells)+1 {
+		t.Errorf("the panic is named %d times, want once per FAIL line and once in the appendix:\n%s", n, out)
+	}
+	if !strings.Contains(out, "\n3 cell(s) failed or were skipped:\n") {
+		t.Errorf("appendix header missing:\n%s", out)
+	}
+	for _, c := range cells {
+		if !strings.Contains(out, "    cell "+c.Key+"\n") {
+			t.Errorf("appendix does not list %s:\n%s", c.Key, out)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -136,6 +138,37 @@ func (sw *Sweep) Failures() []CellError {
 	sw.log.mu.Lock()
 	defer sw.log.mu.Unlock()
 	return append([]CellError(nil), sw.log.list...)
+}
+
+// WriteFailures writes the failure appendix of fails to w: a header
+// counting the cells, then each distinct error once, in order of first
+// appearance, followed by the keys of the cells it hit. Every lane of a
+// panicked batch fails with one error carrying the goroutine stack, so the
+// stack appears once however many cells it took down.
+func WriteFailures(w io.Writer, fails []CellError) {
+	var msgs []string
+	keys := map[string][]string{}
+	for _, f := range fails {
+		msg := f.Err.Error()
+		if keys[msg] == nil {
+			msgs = append(msgs, msg)
+		}
+		keys[msg] = append(keys[msg], f.Key)
+	}
+	fmt.Fprintf(w, "\n%d cell(s) failed or were skipped:\n", len(fails))
+	for _, msg := range msgs {
+		fmt.Fprintf(w, "  %s\n", strings.ReplaceAll(msg, "\n", "\n  "))
+		for _, k := range keys[msg] {
+			fmt.Fprintf(w, "    cell %s\n", k)
+		}
+	}
+}
+
+// FirstLine returns the first line of err's message, for progress output:
+// a panic's error carries its goroutine stack on the lines below.
+func FirstLine(err error) string {
+	line, _, _ := strings.Cut(err.Error(), "\n")
+	return line
 }
 
 func (sw *Sweep) context() context.Context {

@@ -108,7 +108,9 @@ func run(base string, specs []spec, rounds int) ([]string, [2]map[string]*sample
 	for side, tree := range trees {
 		for i, s := range specs {
 			bin := filepath.Join(tmp, fmt.Sprintf("side%d-spec%d.test", side, i))
-			cmd := exec.Command("go", "test", "-c", "-o", bin, s.pkg)
+			// -trimpath keeps the checkout's path out of the binary, so
+			// an A/A run compares byte-identical binaries.
+			cmd := exec.Command("go", "test", "-c", "-trimpath", "-o", bin, s.pkg)
 			cmd.Dir, cmd.Stderr = tree, os.Stderr
 			if err := cmd.Run(); err != nil {
 				return nil, results, fmt.Errorf("building %s in %s: %w", s.pkg, tree, err)

@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// This file is the one serialization the CLI (`lbicsim -config`), the lbicd
-// service schema (`lbic-sim-request/v1`), and sweep journals share:
+// This file is the one serialization the CLI (`lbicsim -config`) and the
+// lbicd service schema (`lbic-sim-request/v1`) share:
 // PortKind and BankSelectorKind marshal as their canonical name tokens,
 // PortConfig/Config carry JSON tags and Validate methods, and ParsePortName
 // inverts PortConfig.Key for the compact one-line form. Every per-kind rule
