@@ -92,10 +92,14 @@ pgo:
 
 # tables-golden is the CI gate on output bytes: every table at 20k
 # instructions must match the checked-in JSON the benchmark verifies
-# (lbicbench/driver/testdata/paper-tables.json, read here, never written).
+# (lbicbench/driver/testdata/paper-tables.json, read here, never written),
+# on one, two and four workers, so no table byte depends on scheduling.
 tables-golden:
-	$(GO) run ./cmd/lbictables -all -insts 20000 -jobs 2 -json -q \
-		| cmp - lbicbench/driver/testdata/paper-tables.json
+	$(GO) build -o /tmp/lbictables-golden ./cmd/lbictables
+	for j in 1 2 4; do \
+		/tmp/lbictables-golden -all -insts 20000 -jobs $$j -json -q \
+			| cmp - lbicbench/driver/testdata/paper-tables.json || exit 1; \
+	done
 
 # bench-ab is a paired A/B of the micro-benchmarks (every BenchmarkGrant
 # leg, BenchmarkCoreStep, BenchmarkLaneStep/k1) between BASE (default: the

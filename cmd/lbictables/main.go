@@ -9,14 +9,21 @@
 //	lbictables -all -markdown    # Markdown output (for EXPERIMENTS.md)
 //	lbictables -all -insts 2000000
 //
-// Sweeps run cells in parallel (-jobs) with per-cell fault isolation: a
-// panicking or hung simulation costs its own cells (rendered ERR, detailed in
-// a stderr appendix), not the run. -timeout bounds each cell and -keep-going
-// renders every table even when cells fail. Each cell runs once: cells are
-// deterministic, so a failed cell would fail again. Every cell streams
-// through one trace cache (-trace-cache-mb), which records each program once
-// per budget. The first ^C stops launching new cells and renders what
-// finished; a second ^C aborts.
+// Every table and figure the flags ask for joins one plan, and all their
+// cells run as one pass: a point two tables show runs once, and no table
+// waits for the last batch of the table before it. The tables print, in
+// flag order, when the pass ends.
+//
+// Cells run in parallel (-jobs) with per-cell fault isolation: a panicking
+// or hung simulation costs its own cells (rendered ERR, detailed in a
+// stderr appendix), not the run. -timeout bounds each cell and -keep-going
+// renders every table even when cells fail; without it the first failed
+// cell ends the pass, the tables before the first one missing a cell
+// print, and the exit status is 1, naming the cell. Each cell runs once:
+// cells are deterministic, so a failed cell would fail again. Every cell
+// streams through one trace cache (-trace-cache-mb), which records each
+// program once per budget. The first ^C stops launching new cells and
+// renders what finished; a second ^C aborts.
 package main
 
 import (
@@ -31,7 +38,6 @@ import (
 
 	"lbic"
 	"lbic/internal/experiments"
-	"lbic/internal/stats"
 )
 
 func main() {
@@ -130,86 +136,34 @@ func main() {
 		cancel()
 	}()
 
-	progress := func(name string) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "  %s...\n", name)
-		}
-	}
-	note := func(what string) {
+	// Every table the flags ask for joins one plan, in output order, and
+	// runs in one pass; the tables render once it ends.
+	var parts []experiments.Part
+	add := func(what string, part experiments.Part) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "generating %s...\n", what)
 		}
+		parts = append(parts, part)
 	}
-	render := func(t *stats.Table) {
-		var err error
-		switch {
-		case *jsonOut:
-			err = t.JSON(os.Stdout)
-		case *markdown:
-			err = t.Markdown(os.Stdout)
-		default:
-			err = t.Render(os.Stdout)
-			fmt.Println()
-		}
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	if *all || *table == 2 {
-		note("Table 2")
-		rows, err := experiments.Table2(sw)
-		if err != nil {
-			fatal(err)
-		}
-		render(experiments.Table2Table(rows))
+		add("Table 2", experiments.Table2Part)
 	}
 	if *all || *table == 3 {
-		note("Table 3 (130 simulations)")
-		d, err := experiments.Table3(sw)
-		if err != nil {
-			fatal(err)
-		}
-		render(experiments.Table3Table(d))
+		add("Table 3 (130 simulations)", experiments.Table3Part)
 	}
 	if *all || *figure == 3 {
-		note("Figure 3")
-		rows, err := experiments.Figure3(sw)
-		if err != nil {
-			fatal(err)
-		}
-		render(experiments.Figure3Table(rows))
+		add("Figure 3", experiments.Figure3Part)
 	}
 	if *all || *table == 4 {
-		note("Table 4 (60 simulations)")
-		d, err := experiments.Table4(sw)
-		if err != nil {
-			fatal(err)
-		}
-		render(experiments.Table4Table(d))
+		add("Table 4 (60 simulations)", experiments.Table4Part)
 	}
 	if *all {
-		note("coded banks vs. line buffers (60 simulations)")
-		t, err := experiments.CodedTable(sw)
-		if err != nil {
-			fatal(err)
-		}
-		render(t)
+		add("coded banks vs. line buffers (60 simulations)", experiments.CodedPart)
 	}
 	if *all || *workloads {
-		note("workload matrices (2 tables)")
-		for _, gen := range []func(*experiments.Sweep) (*stats.Table, error){
-			experiments.WorkloadMatrix, experiments.WorkloadConflicts,
-		} {
-			t, err := gen(sw)
-			if err != nil {
-				fatal(err)
-			}
-			render(t)
-		}
+		add("workload matrices (2 tables)", experiments.WorkloadPart)
 	}
 	if *ablations {
-		note("ablation studies")
 		// The ablations default to their own smaller budget; an explicit
 		// -insts, the default's value included, overrides it.
 		budget := uint64(experiments.AblationInsts)
@@ -218,13 +172,26 @@ func main() {
 				budget = *insts
 			}
 		})
-		tables, err := experiments.Ablations(sw.WithInsts(budget), progress)
-		if err != nil {
-			fatal(err)
+		add("ablation studies", experiments.AblationsPart(budget))
+	}
+	tables, err := experiments.Run(sw, parts...)
+	for _, t := range tables {
+		var rerr error
+		switch {
+		case *jsonOut:
+			rerr = t.JSON(os.Stdout)
+		case *markdown:
+			rerr = t.Markdown(os.Stdout)
+		default:
+			rerr = t.Render(os.Stdout)
+			fmt.Println()
 		}
-		for _, t := range tables {
-			render(t)
+		if rerr != nil {
+			fatal(rerr)
 		}
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	if !*quiet {

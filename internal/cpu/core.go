@@ -243,11 +243,14 @@ var (
 	storeBufPool recycle.Slices[storeBufEntry]
 	wheelPool    recycle.Slices[event]
 	orderPool    recycle.Slices[orderRef]
+	// slotPool holds event-wheel slots grown past wheelSlotCap.
+	slotPool recycle.Slices[event]
 )
 
 // wheelSlotCap is the initial capacity of an event-wheel slot. The ten
 // kernels under PortAxis at 100k instructions schedule at most 66 events
-// for one cycle; a slot that fills past its capacity grows by append.
+// for one cycle; a slot that fills past its capacity moves to a pooled
+// array of twice the size (growSlot).
 const wheelSlotCap = 32
 
 // New prepares a run of stream against the given memory hierarchy and port
@@ -333,6 +336,11 @@ func (c *Core) Release() {
 	linkPool.Put(c.depNext)
 	storeBufPool.Put(c.storeBuf)
 	wheelPool.Put(c.wheelBuf)
+	for _, slot := range c.wheel {
+		if cap(slot) > wheelSlotCap {
+			slotPool.Put(slot)
+		}
+	}
 	orderPool.Put(c.storeOrder)
 	c.pending.release()
 	c.fwd.release()
@@ -454,7 +462,22 @@ func (c *Core) schedule(at uint64, ev event) {
 		panic(fmt.Sprintf("cpu: event latency %d exceeds wheel", at-c.now))
 	}
 	slot := at % wheelSize
+	if len(c.wheel[slot]) == cap(c.wheel[slot]) {
+		c.wheel[slot] = growSlot(c.wheel[slot])
+	}
 	c.wheel[slot] = append(c.wheel[slot], ev)
+}
+
+// growSlot moves a full event-wheel slot to a pooled array of twice its
+// capacity and returns a grown one it leaves to the pool; a slot still on
+// wheelBuf stays there.
+func growSlot(slot []event) []event {
+	grown := slotPool.Make(2 * cap(slot))[:len(slot)]
+	copy(grown, slot)
+	if cap(slot) > wheelSlotCap {
+		slotPool.Put(slot)
+	}
+	return grown
 }
 
 func (c *Core) processEvents() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lbic"
+	"lbic/internal/stats"
 )
 
 // renderGrid runs testGrid on sw and returns its JSON + rendered text, the
@@ -29,8 +30,8 @@ func renderGrid(t *testing.T, sw *Sweep) string {
 
 // testGridCells are testGrid's four simulation cells: two stream groups of
 // two ports each.
-func testGridCells(sw *Sweep) []cell[float64] {
-	var cells []cell[float64]
+func testGridCells(sw *Sweep) []cell {
+	var cells []cell
 	for _, pat := range []string{"unit-stride", "random"} {
 		for _, port := range []lbic.PortConfig{lbic.IdealPort(1), lbic.BankedPort(4)} {
 			cells = append(cells, sw.simPattern(pat, port))
@@ -39,12 +40,26 @@ func testGridCells(sw *Sweep) []cell[float64] {
 	return cells
 }
 
-// checkMatchesSimulate runs cells through the sweep — where each stream group
+// runCells runs a plan of the given tables of cells and returns the values
+// of the cells that succeeded, by key, also when the plan stopped early.
+func runCells(sw *Sweep, tables ...[]cell) (map[string]any, error) {
+	var p *plan
+	_, err := Run(sw, func(sw *Sweep) func() []*stats.Table {
+		p = sw.plan
+		for _, cells := range tables {
+			p.add(cells)
+		}
+		return func() []*stats.Table { return nil }
+	})
+	return p.vals, err
+}
+
+// checkMatchesSimulate runs cells through a plan — where each stream group
 // steps as one lane batch — and checks every value against a lone
 // lbic.Simulate of the cell's own configuration.
-func checkMatchesSimulate(t *testing.T, sw *Sweep, cells []cell[float64]) {
+func checkMatchesSimulate(t *testing.T, sw *Sweep, cells []cell) {
 	t.Helper()
-	got, err := sweepRun(sw, cells)
+	got, err := runCells(sw, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +68,7 @@ func checkMatchesSimulate(t *testing.T, sw *Sweep, cells []cell[float64]) {
 
 // matchSimulate checks each cell's value in got against a lone lbic.Simulate
 // of the cell's own configuration.
-func matchSimulate(t *testing.T, got map[string]float64, cells []cell[float64]) {
+func matchSimulate(t *testing.T, got map[string]any, cells []cell) {
 	t.Helper()
 	for _, c := range cells {
 		src, err := c.sim.source()
@@ -83,15 +98,15 @@ func TestSweepLanedMatchesScalar(t *testing.T) {
 		t.Errorf("Jobs=4 output differs from serial:\n--- serial ---\n%s\n--- jobs=4 ---\n%s", serial, got)
 	}
 
-	// One cell per sweepRun: every group is a batch of one, and each cell
+	// One cell per plan: every group is a batch of one, and each cell
 	// must come out under the key and with the value the batched sweep gave.
-	batched, err := sweepRun(NewSweep(5_000), testGridCells(NewSweep(5_000)))
+	batched, err := runCells(NewSweep(5_000), testGridCells(NewSweep(5_000)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := NewSweep(5_000)
 	for _, c := range testGridCells(one) {
-		got, err := sweepRun(one, []cell[float64]{c})
+		got, err := runCells(one, []cell{c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,19 +118,24 @@ func TestSweepLanedMatchesScalar(t *testing.T) {
 
 // TestWorkloadMatrixLanedMatchesScalar covers the generator-backed cells:
 // lanes share one synthetic stream, and the IPC and conflict views of one
-// (generator, port, budget) point come from a single simulation.
+// (generator, port, budget) point, in two tables of one plan, come from a
+// single simulation.
 func TestWorkloadMatrixLanedMatchesScalar(t *testing.T) {
 	sw := testSweep(tinyInsts)
 	sw.Spans = lbic.NewRequestTrace()
-	var ipc, conf []cell[float64]
+	var ipc, conf []cell
 	for _, kind := range lbic.GeneratorKinds() {
 		for _, port := range workloadPorts() {
 			ipc = append(ipc, sw.simGen(kind, port))
 			conf = append(conf, sw.simGenConflict(kind, port))
 		}
 	}
-	checkMatchesSimulate(t, sw, ipc)
-	checkMatchesSimulate(t, sw, conf)
+	got, err := runCells(sw, ipc, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchSimulate(t, got, ipc)
+	matchSimulate(t, got, conf)
 	var sims int
 	for _, sp := range sw.Spans.Snapshot() {
 		if strings.HasPrefix(sp.Name, "simulate ") && !strings.HasPrefix(sp.Name, "simulate batch ") {
@@ -144,11 +164,11 @@ func TestSweepPanickingLaneFailsItsBatch(t *testing.T) {
 		settled[key]++
 		fmt.Fprintf(&printed, "  FAIL %s: %s\n", key, FirstLine(err))
 	}
-	var cells []cell[float64]
+	var cells []cell
 	for _, port := range []lbic.PortConfig{panicPort(), lbic.BankedPort(4), lbic.LBICPort(4, 2)} {
 		cells = append(cells, sw.simPattern("unit-stride", port))
 	}
-	got, err := sweepRun(sw, cells)
+	got, err := runCells(sw, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +245,11 @@ func TestSweepPanickingLaneFailsItsBatch(t *testing.T) {
 func TestSweepLanedFailFast(t *testing.T) {
 	sw := NewSweep(5_000)
 	// An unbuildable benchmark fails its whole batch at build time.
-	cells := []cell[float64]{
+	cells := []cell{
 		sw.simBench("no-such-benchmark", lbic.IdealPort(1)),
 		sw.simBench("no-such-benchmark", lbic.BankedPort(4)),
 	}
-	_, err := sweepRun(sw, cells)
+	_, err := runCells(sw, cells)
 	if err == nil {
 		t.Fatal("batched run with an unbuildable stream returned nil error")
 	}
@@ -240,8 +260,10 @@ func TestSweepLanedFailFast(t *testing.T) {
 
 // TestSweepFailedLaneSettlesMembersOnce: a lane that fails on its own
 // configuration (MaxCycles) fails alone. Its batch-mates succeed and match a
-// lone Simulate, and every member settles — OnCell, memo, failure log —
-// exactly once, from the batch's single run.
+// lone Simulate, and every member settles — OnCell, value, failure log —
+// exactly once, from the batch's single run. A second table of the plan that
+// shows the same points takes their outcomes from that run: the batch-mates'
+// conflict rates, and the failed lane's error, without running it again.
 func TestSweepFailedLaneSettlesMembersOnce(t *testing.T) {
 	for _, keepGoing := range []bool{false, true} {
 		sw := NewSweep(5_000)
@@ -249,7 +271,7 @@ func TestSweepFailedLaneSettlesMembersOnce(t *testing.T) {
 		sw.Spans = lbic.NewRequestTrace()
 		settled := map[string]int{}
 		sw.OnCell = func(key string, err error) { settled[key]++ }
-		cells := []cell[float64]{
+		cells := []cell{
 			sw.simBench("compress", lbic.LBICPort(4, 2)),
 			sw.simBench("compress", lbic.BankedPort(4)),
 			sw.simBenchMut("compress", lbic.BankedPort(4), "maxc100", func(cfg *lbic.Config) {
@@ -258,24 +280,30 @@ func TestSweepFailedLaneSettlesMembersOnce(t *testing.T) {
 				cfg.CPU = &c
 			}),
 		}
-		got, err := sweepRun(sw, cells)
-		if keepGoing != (err == nil) {
-			t.Errorf("keepGoing=%v: sweep error %v", keepGoing, err)
+		again := cells[2]
+		again.Key += "/again"
+		views := []cell{
+			sw.simBenchConflict("compress", lbic.LBICPort(4, 2)),
+			sw.simBenchConflict("compress", lbic.BankedPort(4)),
+			again,
 		}
-		if len(got) != 2 {
-			t.Errorf("keepGoing=%v: %d cells succeeded, want 2", keepGoing, len(got))
+		got, err := runCells(sw, cells, views)
+		if keepGoing != (err == nil) || err != nil && !strings.Contains(err.Error(), `"`+cells[2].Key+`"`) {
+			t.Errorf("keepGoing=%v: sweep error %v, want one naming %s without KeepGoing", keepGoing, err, cells[2].Key)
 		}
-		matchSimulate(t, got, cells[:2])
-		for _, c := range cells {
+		for i, c := range append(append([]cell(nil), cells...), views...) {
+			if _, ok := got[c.Key]; ok != (i%3 != 2) {
+				t.Errorf("keepGoing=%v: %s has a value = %v, want only the successful points", keepGoing, c.Key, ok)
+			}
 			if settled[c.Key] != 1 {
 				t.Errorf("keepGoing=%v: %s settled %d times, want 1", keepGoing, c.Key, settled[c.Key])
 			}
-			if _, ok := sw.memo.get(c.sim.memoKey); ok != (c.Key != cells[2].Key) {
-				t.Errorf("keepGoing=%v: %s memoized = %v, want only the successful lanes", keepGoing, c.Key, ok)
-			}
 		}
-		if fails := sw.Failures(); len(fails) != 1 || fails[0].Key != cells[2].Key {
-			t.Errorf("keepGoing=%v: Failures() = %v, want only %s", keepGoing, fails, cells[2].Key)
+		matchSimulate(t, got, cells[:2])
+		matchSimulate(t, got, views[:2])
+		if fails := sw.Failures(); len(fails) != 2 || fails[0].Key != cells[2].Key || fails[1].Key != again.Key ||
+			fails[0].Err != fails[1].Err {
+			t.Errorf("keepGoing=%v: Failures() = %v, want %s and %s with one error", keepGoing, fails, cells[2].Key, again.Key)
 		}
 		// The batch ran once: one runner cell and one batch span.
 		var runnerCells, batches int

@@ -28,14 +28,14 @@ func codedAxis() []lbic.PortConfig {
 	}
 }
 
-// CodedTable reports IPC of every kernel under the coded-banks axis — the
+// codedTable reports IPC of every kernel under the coded-banks axis — the
 // headline "coding vs. line buffers" comparison.
-func CodedTable(sw *Sweep) (*stats.Table, error) {
+func codedTable(sw *Sweep) func() *stats.Table {
 	axis := codedAxis()
 	cols := make([]column, len(axis))
 	for i, port := range axis {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(b string) cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(b string) cell {
 			return sw.simBench(b, port)
 		}}
 	}
@@ -43,18 +43,18 @@ func CodedTable(sw *Sweep) (*stats.Table, error) {
 		lbic.BenchmarkNames(), cols, stats.FormatIPC, true)
 }
 
-// AblationCodedConflicts is the same axis viewed through the port subsystem:
+// ablationCodedConflicts is the same axis viewed through the port subsystem:
 // stalled requests per granted access. Coding converts same-bank read
 // conflicts into parity reconstructions, so its win over the banked baseline
 // shows up here first; what remains on the coded columns is store pressure
 // (code updates) plus reads the single parity port could not absorb, which
 // is exactly the share the composed LBIC-over-coded column attacks.
-func AblationCodedConflicts(sw *Sweep) (*stats.Table, error) {
+func ablationCodedConflicts(sw *Sweep) func() *stats.Table {
 	axis := codedAxis()
 	cols := make([]column, len(axis))
 	for i, port := range axis {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(b string) cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(b string) cell {
 			return sw.simBenchConflict(b, port)
 		}}
 	}

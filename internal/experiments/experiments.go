@@ -11,6 +11,10 @@
 // graceful shutdown. Each cell runs once. Failed cells render as ERR and are
 // listed in Sweep.Failures; with Sweep.KeepGoing a partial sweep still
 // produces every table.
+//
+// A generator called on its own runs its table as a plan of one. Run takes
+// the Parts of a whole invocation and runs all their cells as one plan, in
+// one runner pass (plan.go).
 package experiments
 
 import (
@@ -78,32 +82,33 @@ type Table2Row struct {
 func table2Geom() lbic.Geometry { return lbic.Geometry{Size: 32 << 10, LineSize: 32, Assoc: 1} }
 
 // Table2 measures every kernel's Table 2 characteristics.
-func Table2(sw *Sweep) ([]Table2Row, error) {
+func Table2(sw *Sweep) ([]Table2Row, error) { return runOne(sw, table2) }
+
+func table2(sw *Sweep) func() []Table2Row {
 	infos := lbic.Benchmarks()
-	cells := make([]cell[lbic.BenchmarkStats], len(infos))
+	cells := make([]cell, len(infos))
 	for i, in := range infos {
 		cells[i] = sw.charCell(in.Name, table2Geom())
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table2Row, len(infos))
-	for i, in := range infos {
-		rows[i] = Table2Row{
-			Name:             in.Name,
-			Suite:            in.Suite,
-			PaperMemPct:      in.PaperMemPct,
-			PaperStoreToLoad: in.PaperStoreToLoad,
-			PaperMissRate:    in.PaperMissRate,
+	sw.plan.add(cells)
+	return func() []Table2Row {
+		rows := make([]Table2Row, len(infos))
+		for i, in := range infos {
+			rows[i] = Table2Row{
+				Name:             in.Name,
+				Suite:            in.Suite,
+				PaperMemPct:      in.PaperMemPct,
+				PaperStoreToLoad: in.PaperStoreToLoad,
+				PaperMissRate:    in.PaperMissRate,
+			}
+			if s, ok := sw.plan.vals[cells[i].Key].(lbic.BenchmarkStats); ok {
+				rows[i].Stats = s
+			} else {
+				rows[i].Err = fmt.Errorf("characterizing %s failed", in.Name)
+			}
 		}
-		if s, ok := got[cells[i].Key]; ok {
-			rows[i].Stats = s
-		} else {
-			rows[i].Err = fmt.Errorf("characterizing %s failed", in.Name)
-		}
+		return rows
 	}
-	return rows, nil
 }
 
 // Table2Table renders Table 2 with measured-vs-paper columns.
@@ -168,7 +173,9 @@ func (d *Table3Data) GetBase(name string) (float64, bool) {
 
 // Table3 runs the full Table 3 sweep: ideal, replicated and banked
 // organizations at 1, 2, 4, 8 and 16 ports for every benchmark.
-func Table3(sw *Sweep) (*Table3Data, error) {
+func Table3(sw *Sweep) (*Table3Data, error) { return runOne(sw, table3) }
+
+func table3(sw *Sweep) func() *Table3Data {
 	d := &Table3Data{
 		Insts: sw.Insts,
 		Base:  map[string]float64{},
@@ -181,14 +188,14 @@ func Table3(sw *Sweep) (*Table3Data, error) {
 			d.IPC[kind][p] = map[string]float64{}
 		}
 	}
-	var cells []cell[float64]
+	var cells []cell
 	type slot struct {
 		kind  string
 		ports int
 		name  string
 	}
 	slots := map[string]slot{}
-	add := func(s slot, c cell[float64]) {
+	add := func(s slot, c cell) {
 		slots[c.Key] = s
 		cells = append(cells, c)
 	}
@@ -200,19 +207,20 @@ func Table3(sw *Sweep) (*Table3Data, error) {
 			}
 		}
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
-	}
-	for key, v := range got {
-		s := slots[key]
-		if s.kind == "" {
-			d.Base[s.name] = v
-		} else {
-			d.IPC[s.kind][s.ports][s.name] = v
+	sw.plan.add(cells)
+	return func() *Table3Data {
+		for key, s := range slots {
+			v, ok := sw.plan.vals[key].(float64)
+			switch {
+			case !ok:
+			case s.kind == "":
+				d.Base[s.name] = v
+			default:
+				d.IPC[s.kind][s.ports][s.name] = v
+			}
 		}
+		return d
 	}
-	return d, nil
 }
 
 // Average returns the mean IPC over a benchmark group for one design/ports,
@@ -240,7 +248,7 @@ func (d *Table3Data) BaseAverage(names []string) float64 {
 }
 
 // Table3Table renders the Table 3 layout: one row per benchmark plus group
-// averages, columns 1-port then True/Repl/Bank at 2, 4, 16. Cells whose
+// averages, columns 1-port then True/Repl/Bank at 2, 4, 8 and 16. Cells whose
 // simulation failed render as ERR; group averages cover the remaining cells.
 func Table3Table(d *Table3Data) *stats.Table {
 	headers := []string{"Program", "1"}
@@ -306,26 +314,27 @@ type Figure3Row struct {
 
 // Figure3 computes the Figure 3 distributions (infinite 4-bank cache, 32B
 // lines) for every benchmark.
-func Figure3(sw *Sweep) ([]Figure3Row, error) {
+func Figure3(sw *Sweep) ([]Figure3Row, error) { return runOne(sw, figure3) }
+
+func figure3(sw *Sweep) func() []Figure3Row {
 	names := lbic.BenchmarkNames()
-	cells := make([]cell[lbic.Distribution], len(names))
+	cells := make([]cell, len(names))
 	for i, name := range names {
 		cells[i] = sw.refCell(name, 4, 32)
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Figure3Row, len(names))
-	for i, name := range names {
-		rows[i] = Figure3Row{Name: name}
-		if d, ok := got[cells[i].Key]; ok {
-			rows[i].Dist = d
-		} else {
-			rows[i].Err = fmt.Errorf("analyzing %s failed", name)
+	sw.plan.add(cells)
+	return func() []Figure3Row {
+		rows := make([]Figure3Row, len(names))
+		for i, name := range names {
+			rows[i] = Figure3Row{Name: name}
+			if d, ok := sw.plan.vals[cells[i].Key].(lbic.Distribution); ok {
+				rows[i].Dist = d
+			} else {
+				rows[i].Err = fmt.Errorf("analyzing %s failed", name)
+			}
 		}
+		return rows
 	}
-	return rows, nil
 }
 
 // figure3Avg averages the distribution fractions over the group members
@@ -399,16 +408,16 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// Figure3Banks quantifies §4's "even with an infinite number of banks, a
+// figure3Banks quantifies §4's "even with an infinite number of banks, a
 // substantial fraction of the bank conflicts we see in these programs could
 // remain since they are caused by items mapping to the same cache line":
 // as the bank count grows, the same-bank-different-line fraction of
 // consecutive references falls toward zero, but the same-line fraction — the
 // part only combining can recover — is invariant.
-func Figure3Banks(sw *Sweep) (*stats.Table, error) {
+func figure3Banks(sw *Sweep) func() *stats.Table {
 	bankCounts := []int{2, 4, 16, 64}
 	names := lbic.BenchmarkNames()
-	var cells []cell[lbic.Distribution]
+	var cells []cell
 	keys := make(map[string]map[int]string, len(names)) // bench -> banks -> key
 	for _, name := range names {
 		keys[name] = map[int]string{}
@@ -418,34 +427,33 @@ func Figure3Banks(sw *Sweep) (*stats.Table, error) {
 			cells = append(cells, c)
 		}
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
-	}
-	headers := []string{"Program"}
-	for _, b := range bankCounts {
-		headers = append(headers, fmt.Sprintf("same-bank @%d", b))
-	}
-	headers = append(headers, "same-line (any)")
-	t := stats.NewTable(
-		"Figure 3 extension: same-bank fraction vs bank count (same-line floor)",
-		headers...)
-	for _, name := range names {
-		row := []string{title(name)}
-		var sameLine float64
-		haveLine := false
+	sw.plan.add(cells)
+	return func() *stats.Table {
+		headers := []string{"Program"}
 		for _, b := range bankCounts {
-			d, ok := got[keys[name][b]]
-			row = append(row, fmtCell(d.SameBankFrac(), ok, stats.FormatPct))
-			if ok {
-				sameLine = d.SameLineFrac() // line mapping is bank-count invariant
-				haveLine = true
-			}
+			headers = append(headers, fmt.Sprintf("same-bank @%d", b))
 		}
-		row = append(row, fmtCell(sameLine, haveLine, stats.FormatPct))
-		t.AddRow(row...)
+		headers = append(headers, "same-line (any)")
+		t := stats.NewTable(
+			"Figure 3 extension: same-bank fraction vs bank count (same-line floor)",
+			headers...)
+		for _, name := range names {
+			row := []string{title(name)}
+			var sameLine float64
+			haveLine := false
+			for _, b := range bankCounts {
+				d, ok := sw.plan.vals[keys[name][b]].(lbic.Distribution)
+				row = append(row, fmtCell(d.SameBankFrac(), ok, stats.FormatPct))
+				if ok {
+					sameLine = d.SameLineFrac() // line mapping is bank-count invariant
+					haveLine = true
+				}
+			}
+			row = append(row, fmtCell(sameLine, haveLine, stats.FormatPct))
+			t.AddRow(row...)
+		}
+		return t
 	}
-	return t, nil
 }
 
 // --- Table 4 ---
@@ -471,12 +479,14 @@ func (d *Table4Data) Get(key, name string) (float64, bool) {
 func ConfigKey(m, n int) string { return fmt.Sprintf("%dx%d", m, n) }
 
 // Table4 runs the Table 4 sweep: six MxN LBIC configurations per benchmark.
-func Table4(sw *Sweep) (*Table4Data, error) {
+func Table4(sw *Sweep) (*Table4Data, error) { return runOne(sw, table4) }
+
+func table4(sw *Sweep) func() *Table4Data {
 	d := &Table4Data{Insts: sw.Insts, IPC: map[string]map[string]float64{}}
 	for _, c := range LBICConfigs {
 		d.IPC[ConfigKey(c[0], c[1])] = map[string]float64{}
 	}
-	var cells []cell[float64]
+	var cells []cell
 	type slot struct{ cfg, name string }
 	slots := map[string]slot{}
 	for _, name := range lbic.BenchmarkNames() {
@@ -486,15 +496,15 @@ func Table4(sw *Sweep) (*Table4Data, error) {
 			cells = append(cells, cell)
 		}
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
+	sw.plan.add(cells)
+	return func() *Table4Data {
+		for key, s := range slots {
+			if v, ok := sw.plan.vals[key].(float64); ok {
+				d.IPC[s.cfg][s.name] = v
+			}
+		}
+		return d
 	}
-	for key, v := range got {
-		s := slots[key]
-		d.IPC[s.cfg][s.name] = v
-	}
-	return d, nil
 }
 
 // Average returns the mean IPC over a benchmark group for one configuration,

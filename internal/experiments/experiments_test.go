@@ -145,7 +145,7 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweeps are slow")
 	}
-	tables, err := Ablations(testSweep(5_000), nil)
+	tables, err := Ablations(testSweep(5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAblationsSmoke(t *testing.T) {
 }
 
 func TestFigure3Banks(t *testing.T) {
-	tab, err := Figure3Banks(testSweep(20_000))
+	tab, err := runOne(testSweep(20_000), figure3Banks)
 	if err != nil {
 		t.Fatal(err)
 	}

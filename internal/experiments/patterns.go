@@ -5,12 +5,12 @@ import (
 	"lbic/internal/stats"
 )
 
-// PatternMatrix simulates every access-pattern microbenchmark against a
+// patternMatrix simulates every access-pattern microbenchmark against a
 // representative set of port organizations — the cleanest view of which
 // stream property each design responds to: combining wins same-line bursts,
 // banking wins balanced strides and random streams, replication loses store
 // bursts, and nothing helps a pointer chase.
-func PatternMatrix(sw *Sweep) (*stats.Table, error) {
+func patternMatrix(sw *Sweep) func() *stats.Table {
 	ports := []lbic.PortConfig{
 		lbic.IdealPort(1),
 		lbic.IdealPort(4),
@@ -27,7 +27,7 @@ func PatternMatrix(sw *Sweep) (*stats.Table, error) {
 	cols := make([]column, len(ports))
 	for i, port := range ports {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(pat string) cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(pat string) cell {
 			return sw.simPattern(pat, port)
 		}}
 	}

@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"lbic"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -55,7 +52,9 @@ type Sweep struct {
 
 	log   *failureLog
 	progs *progCache
-	memo  *resultMemo
+	// plan is the plan the sweep's tables add their cells to; Run sets it
+	// on its own copy of the sweep.
+	plan *plan
 }
 
 // traceBudget bounds the trace cache NewSweep creates. Matches lbictables'
@@ -68,31 +67,43 @@ func NewSweep(insts uint64) *Sweep {
 		Insts: insts,
 		Trace: lbic.NewTraceCache(traceBudget),
 		log:   &failureLog{},
-		progs: &progCache{m: map[string]*lbic.Program{}},
-		memo:  &resultMemo{m: map[string]*lbic.Result{}},
+		progs: &progCache{m: map[string]*progBuild{}},
 	}
 }
 
 // progCache builds each program once per sweep. Programs are immutable once
 // built, so cells share instances — which both skips redundant synthesis and
-// lets the trace cache memoize program fingerprints by identity.
+// lets the trace cache memoize program fingerprints by identity. Builds are
+// per key: a cell waits only for the program it needs, never for another
+// cell's build of a different one.
 type progCache struct {
 	mu sync.Mutex
-	m  map[string]*lbic.Program
+	m  map[string]*progBuild
+}
+
+// progBuild is one program's build, shared by every cell that needs it. A
+// build is deterministic, so its error is kept like its program.
+type progBuild struct {
+	once sync.Once
+	p    *lbic.Program
+	err  error
 }
 
 func (pc *progCache) get(key string, build func() (*lbic.Program, error)) (*lbic.Program, error) {
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if p, ok := pc.m[key]; ok {
-		return p, nil
+	b, ok := pc.m[key]
+	if !ok {
+		b = &progBuild{}
+		pc.m[key] = b
 	}
-	p, err := build()
-	if err != nil {
-		return nil, err
-	}
-	pc.m[key] = p
-	return p, nil
+	pc.mu.Unlock()
+	b.once.Do(func() {
+		// Kept if build panics: the panic fails the cell that was building,
+		// and every later cell gets this error instead of a nil program.
+		b.err = fmt.Errorf("building %s panicked", key)
+		b.p, b.err = build()
+	})
+	return b.p, b.err
 }
 
 // benchProg returns the sweep's shared instance of a benchmark kernel.
@@ -105,10 +116,10 @@ func (sw *Sweep) patternProg(name string) (*lbic.Program, error) {
 	return sw.progs.get("pat/"+name, func() (*lbic.Program, error) { return lbic.BuildPattern(name) })
 }
 
-// WithInsts returns a copy of the sweep at a different budget, sharing the
-// failure log (lbictables runs ablations at a reduced budget but reports one
-// combined failure appendix).
-func (sw *Sweep) WithInsts(insts uint64) *Sweep {
+// withInsts returns a copy of the sweep at a different budget, sharing its
+// plan, programs and failure log: lbictables runs the ablations at a reduced
+// budget in the same plan as the tables.
+func (sw *Sweep) withInsts(insts uint64) *Sweep {
 	c := *sw
 	c.Insts = insts
 	return &c
@@ -132,8 +143,7 @@ func (l *failureLog) add(e CellError) {
 }
 
 // Failures returns every cell that failed or was skipped across all
-// experiments run through this sweep (and any WithInsts copies), in
-// completion order.
+// experiments run through this sweep, in completion order.
 func (sw *Sweep) Failures() []CellError {
 	sw.log.mu.Lock()
 	defer sw.log.mu.Unlock()
@@ -184,19 +194,26 @@ func (sw *Sweep) context() context.Context {
 
 // cell is one table cell, keyed by its configuration. A simulation cell carries
 // its spec and runs as a lane of its stream group's batch; any other cell
-// (characterization, reference-stream analysis) runs its own function.
-type cell[T any] struct {
+// (characterization, reference-stream analysis) runs its own function. The
+// value is a float64 for every simulation and grid cell, a
+// lbic.BenchmarkStats for characterization and a lbic.Distribution for
+// reference-stream analysis.
+type cell struct {
 	Key string
-	run func(ctx context.Context) (T, error)
-	sim *simSpec[T]
+	// stream names the program or generator the cell reads, without its
+	// budget ("bench/compress"): a plan never runs two units of one stream
+	// at once.
+	stream string
+	run    func(ctx context.Context) (any, error)
+	sim    *simSpec
 }
 
 // simSpec is one simulation: a configuration of one stream, reduced to the
-// cell's value by pick. Cells whose specs share a group consume
+// cell's value by pick. Cells of one table whose specs share a group consume
 // byte-identical dynamic streams and run as the lanes of one batch; memoKey
 // names the simulated point across key namespaces, so two views of one
 // simulation (its IPC and its conflict rate) share a single Result.
-type simSpec[T any] struct {
+type simSpec struct {
 	group  string
 	source func() (lbic.Source, error)
 	port   lbic.PortConfig
@@ -204,12 +221,12 @@ type simSpec[T any] struct {
 	mut    func(*lbic.Config)
 	// replay streams a program through the sweep's trace cache.
 	replay  bool
-	pick    func(*lbic.Result) T
+	pick    func(*lbic.Result) float64
 	memoKey string
 }
 
 // config is the spec's simulation configuration.
-func (s *simSpec[T]) config(tc *lbic.TraceCache) lbic.Config {
+func (s *simSpec) config(tc *lbic.TraceCache) lbic.Config {
 	cfg := lbic.DefaultConfig()
 	cfg.Port = s.port
 	cfg.MaxInsts = s.insts
@@ -222,181 +239,19 @@ func (s *simSpec[T]) config(tc *lbic.TraceCache) lbic.Config {
 	return cfg
 }
 
-// resultMemo caches completed simulation Results by memoKey for the lifetime
-// of one sweep, so the same simulated point feeding two tables (e.g. the IPC
-// and conflict-rate views of one generator run) is executed once. Replay
-// determinism makes the second Result identical, so reuse cannot change any
-// output.
-type resultMemo struct {
-	mu sync.Mutex
-	m  map[string]*lbic.Result
-}
-
-func (m *resultMemo) get(key string) (*lbic.Result, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.m[key]
-	return r, ok
-}
-
-func (m *resultMemo) put(key string, r *lbic.Result) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.m[key] = r
-}
-
-// outcome is one member cell's result inside a runner cell's value.
-type outcome[T any] struct {
-	v T
-	// res is the simulation behind v; nil for other cells.
-	res *lbic.Result
-	err error
-}
-
-// sweepRun executes cells under the sweep's policy and returns the
-// successful values keyed by cell key; failed and skipped cells are recorded
-// in the failure log and simply absent from the map. The error is nil unless
-// the context was canceled or (without KeepGoing) a cell failed.
-//
-// Cells whose simulation an earlier table of this sweep ran settle up front.
-// Every other simulation cell joins its stream group, and each group runs as
-// one lane batch of its full width, a batch of one included
-// (lbic.SimulateBatch). Each batch is one runner cell; its timeout is the
-// cell timeout times its width, since it does that many lanes of work, and
-// its members settle — memo, failure log, OnCell — once, when it finishes.
-func sweepRun[T any](sw *Sweep, cells []cell[T]) (map[string]T, error) {
-	out := make(map[string]T, len(cells))
-	failed := map[string]error{}
-	settle := func(c cell[T], o outcome[T]) {
-		if o.err == nil {
-			out[c.Key] = o.v
-			if o.res != nil {
-				sw.memo.put(c.sim.memoKey, o.res)
-			}
-		} else {
-			sw.log.add(CellError{Key: c.Key, Err: o.err})
-			if !errors.Is(o.err, runner.ErrSkipped) {
-				failed[c.Key] = o.err
-			}
-		}
-		if sw.OnCell != nil {
-			sw.OnCell(c.Key, o.err)
-		}
-	}
-
-	// plan lists each runner cell's members in launch order: a stream
-	// group's batch sits where its first member appeared.
-	var plan [][]cell[T]
-	groups := map[string]int{}
-	for _, c := range cells {
-		if c.sim != nil {
-			if res, ok := sw.memo.get(c.sim.memoKey); ok {
-				settle(c, outcome[T]{v: c.sim.pick(res)})
-				continue
-			}
-			if i, ok := groups[c.sim.group]; ok {
-				plan[i] = append(plan[i], c)
-				continue
-			}
-			groups[c.sim.group] = len(plan)
-		}
-		plan = append(plan, []cell[T]{c})
-	}
-
-	units := make([]runner.Cell[[]outcome[T]], len(plan))
-	for i, ms := range plan {
-		units[i] = newUnit(sw, ms, func(r runner.Result[[]outcome[T]]) {
-			for j, c := range ms {
-				o := outcome[T]{err: r.Err}
-				if r.Value != nil {
-					o = r.Value[j]
-				}
-				settle(c, o)
-			}
-		})
-	}
-	opts := runner.Options{Jobs: sw.Jobs, KeepGoing: sw.KeepGoing, Stop: sw.Stop}
-	ctx := sw.context()
-	if _, err := runner.Run(ctx, units, opts); err != nil {
-		if ctx.Err() == nil {
-			// Name the first failed table cell, not the batch it rode in.
-			for _, c := range cells {
-				if ferr, ok := failed[c.Key]; ok {
-					return out, fmt.Errorf("runner: cell %q: %w", c.Key, ferr)
-				}
-			}
-		}
-		return out, err
-	}
-	return out, nil
-}
-
-// newUnit wraps members as one runner cell: a stream group's simulation cells
-// as one lane batch (keyed by the member's own key when it runs alone), or
-// a single other cell.
-func newUnit[T any](sw *Sweep, ms []cell[T], settled func(runner.Result[[]outcome[T]])) runner.Cell[[]outcome[T]] {
-	c := runner.Cell[[]outcome[T]]{Key: ms[0].Key, Timeout: sw.Timeout * time.Duration(len(ms)), Settled: settled}
-	if len(ms) > 1 {
-		c.Key = fmt.Sprintf("lane/%s/k%d", ms[0].sim.group, len(ms))
-	}
-	if ms[0].sim != nil {
-		c.Labels = []string{"lanes", strconv.Itoa(len(ms))}
-		c.Run = func(ctx context.Context) ([]outcome[T], error) { return runBatch(ctx, sw, ms) }
-		return c
-	}
-	run := ms[0].run
-	c.Run = func(ctx context.Context) ([]outcome[T], error) {
-		v, err := run(ctx)
-		return []outcome[T]{{v: v, err: err}}, err
-	}
-	return c
-}
-
-// runBatch runs one stream group's cells as the lanes of one batch. A lane's
-// failure is returned as the batch's error too, so the runner counts the
-// batch as failed, and a fail-fast sweep stops, exactly as for that cell
-// alone; the batch's other lanes keep their own outcomes.
-func runBatch[T any](ctx context.Context, sw *Sweep, ms []cell[T]) ([]outcome[T], error) {
-	src, err := ms[0].sim.source()
-	if err != nil {
-		return nil, err
-	}
-	cfgs := make([]lbic.Config, len(ms))
-	for i, c := range ms {
-		cfgs[i] = c.sim.config(sw.Trace)
-	}
-	results, errs, err := lbic.SimulateBatch(ctx, src, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]outcome[T], len(ms))
-	var first error
-	for i, c := range ms {
-		if errs[i] != nil {
-			outs[i].err = errs[i]
-			if first == nil {
-				first = errs[i]
-			}
-			continue
-		}
-		outs[i] = outcome[T]{v: c.sim.pick(&results[i]), res: &results[i]}
-	}
-	return outs, first
-}
-
 // --- cell constructors ---
 // Keys are stable, human-readable encodings of the full cell configuration.
 // A simulation cell's key doubles as its memo identity, so anything that
 // changes the simulated configuration must appear in the key.
 
 // simBench is one benchmark under one port organization at the sweep budget.
-func (sw *Sweep) simBench(name string, port lbic.PortConfig) cell[float64] {
+func (sw *Sweep) simBench(name string, port lbic.PortConfig) cell {
 	return sw.simBenchMut(name, port, "", nil)
 }
 
 // simBenchMut is simBench with a Config mutation; suffix must uniquely
 // encode the mutation (e.g. "lsq32") since PortConfig.Name does not see it.
-func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, mut func(*lbic.Config)) cell[float64] {
+func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, mut func(*lbic.Config)) cell {
 	key := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), sw.Insts)
 	if suffix != "" {
 		key += "/" + suffix
@@ -409,7 +264,7 @@ func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, m
 
 // simPattern is one access-pattern microbenchmark under one port
 // organization.
-func (sw *Sweep) simPattern(name string, port lbic.PortConfig) cell[float64] {
+func (sw *Sweep) simPattern(name string, port lbic.PortConfig) cell {
 	key := fmt.Sprintf("sim/pat:%s/%s/i%d", name, port.Key(), sw.Insts)
 	return sw.progCell(key, key, "pat/"+name, sw.patternProg, name, port, nil, pickIPC)
 }
@@ -419,7 +274,7 @@ func (sw *Sweep) simPattern(name string, port lbic.PortConfig) cell[float64] {
 // differs — but the memo key matches the IPC cell's, so the same
 // (benchmark, port, budget) point appearing in an IPC table and a conflict
 // table is simulated once.
-func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) cell[float64] {
+func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) cell {
 	key := fmt.Sprintf("sim/conf/%s/%s/i%d", name, port.Key(), sw.Insts)
 	memoKey := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), sw.Insts)
 	return sw.progCell(key, memoKey, "bench/"+name, sw.benchProg, name, port, nil,
@@ -430,8 +285,8 @@ func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) cell[float6
 // program, replayed through the sweep's trace cache; stream names the
 // program for grouping.
 func (sw *Sweep) progCell(key, memoKey, stream string, prog func(string) (*lbic.Program, error), name string,
-	port lbic.PortConfig, mut func(*lbic.Config), pick func(*lbic.Result) float64) cell[float64] {
-	return cell[float64]{Key: key, sim: &simSpec[float64]{
+	port lbic.PortConfig, mut func(*lbic.Config), pick func(*lbic.Result) float64) cell {
+	return cell{Key: key, stream: stream, sim: &simSpec{
 		group: fmt.Sprintf("%s/i%d", stream, sw.Insts),
 		source: func() (lbic.Source, error) {
 			p, err := prog(name)
@@ -445,36 +300,21 @@ func pickIPC(r *lbic.Result) float64 { return r.IPC }
 
 // charCell measures a benchmark's Table 2 characteristics against a given
 // L1 geometry.
-func (sw *Sweep) charCell(name string, geom lbic.Geometry) cell[lbic.BenchmarkStats] {
-	insts := sw.Insts
-	tc := sw.Trace
-	key := fmt.Sprintf("char/%s/%s/i%d", name, geomKey(geom), insts)
-	return cell[lbic.BenchmarkStats]{Key: key, run: func(ctx context.Context) (lbic.BenchmarkStats, error) {
-		prog, err := sw.benchProg(name)
-		if err != nil {
-			return lbic.BenchmarkStats{}, err
-		}
-		return lbic.Characterize(ctx, prog, lbic.CharacterizeOptions{Insts: insts, Geom: geom, Trace: tc})
-	}}
+func (sw *Sweep) charCell(name string, geom lbic.Geometry) cell {
+	key := fmt.Sprintf("char/%s/%s/i%d", name, geomKey(geom), sw.Insts)
+	return sw.benchCell(key, name, func(ctx context.Context, prog *lbic.Program) (any, error) {
+		return lbic.Characterize(ctx, prog, lbic.CharacterizeOptions{Insts: sw.Insts, Geom: geom, Trace: sw.Trace})
+	})
 }
 
 // missRateCell is charCell reduced to the miss rate, for the capacity and
 // associativity grids. Distinct key namespace: the cell's value differs.
-func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) cell[float64] {
-	insts := sw.Insts
-	tc := sw.Trace
-	key := fmt.Sprintf("miss/%s/%s/i%d", name, geomKey(geom), insts)
-	return cell[float64]{Key: key, run: func(ctx context.Context) (float64, error) {
-		prog, err := sw.benchProg(name)
-		if err != nil {
-			return 0, err
-		}
-		s, err := lbic.Characterize(ctx, prog, lbic.CharacterizeOptions{Insts: insts, Geom: geom, Trace: tc})
-		if err != nil {
-			return 0, err
-		}
-		return s.MissRate, nil
-	}}
+func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) cell {
+	key := fmt.Sprintf("miss/%s/%s/i%d", name, geomKey(geom), sw.Insts)
+	return sw.benchCell(key, name, func(ctx context.Context, prog *lbic.Program) (any, error) {
+		s, err := lbic.Characterize(ctx, prog, lbic.CharacterizeOptions{Insts: sw.Insts, Geom: geom, Trace: sw.Trace})
+		return s.MissRate, err
+	})
 }
 
 func geomKey(g lbic.Geometry) string {
@@ -483,16 +323,22 @@ func geomKey(g lbic.Geometry) string {
 
 // refCell computes a benchmark's consecutive-reference distribution over an
 // infinite banks-way line-interleaved cache.
-func (sw *Sweep) refCell(name string, banks, lineSize int) cell[lbic.Distribution] {
-	insts := sw.Insts
-	tc := sw.Trace
-	key := fmt.Sprintf("refs/%s/b%d-l%d/i%d", name, banks, lineSize, insts)
-	return cell[lbic.Distribution]{Key: key, run: func(ctx context.Context) (lbic.Distribution, error) {
+func (sw *Sweep) refCell(name string, banks, lineSize int) cell {
+	key := fmt.Sprintf("refs/%s/b%d-l%d/i%d", name, banks, lineSize, sw.Insts)
+	return sw.benchCell(key, name, func(ctx context.Context, prog *lbic.Program) (any, error) {
+		return lbic.AnalyzeRefStream(ctx, prog, lbic.RefStreamOptions{Banks: banks, LineSize: lineSize, Insts: sw.Insts, Trace: sw.Trace})
+	})
+}
+
+// benchCell is a non-simulation cell over the sweep's shared instance of a
+// benchmark kernel.
+func (sw *Sweep) benchCell(key, name string, f func(context.Context, *lbic.Program) (any, error)) cell {
+	return cell{Key: key, stream: "bench/" + name, run: func(ctx context.Context) (any, error) {
 		prog, err := sw.benchProg(name)
 		if err != nil {
-			return lbic.Distribution{}, err
+			return nil, err
 		}
-		return lbic.AnalyzeRefStream(ctx, prog, lbic.RefStreamOptions{Banks: banks, LineSize: lineSize, Insts: insts, Trace: tc})
+		return f(ctx, prog)
 	}}
 }
 
@@ -514,19 +360,19 @@ func fmtCell(v float64, ok bool, format func(float64) string) string {
 // constructor per benchmark.
 type column struct {
 	header string
-	cell   func(bench string) cell[float64]
+	cell   func(bench string) cell
 }
 
-// grid runs a benches x columns sweep and renders it with a per-column
-// average row over the successful cells (the historical hard-coded /10
-// denominators silently mis-averaged partial sweeps; stats.Mean over the
-// values actually present does not).
-func grid(sw *Sweep, tableTitle string, benches []string, cols []column, format func(float64) string, withAvg bool) (*stats.Table, error) {
+// grid adds a benches x columns table to the sweep's plan and returns how it
+// renders: with a per-column average row over the successful cells (the
+// historical hard-coded /10 denominators silently mis-averaged partial
+// sweeps; stats.Mean over the values actually present does not).
+func grid(sw *Sweep, tableTitle string, benches []string, cols []column, format func(float64) string, withAvg bool) func() *stats.Table {
 	if format == nil {
 		format = stats.FormatIPC
 	}
 	keys := make([][]string, len(benches))
-	var cells []cell[float64]
+	var cells []cell
 	for bi, b := range benches {
 		keys[bi] = make([]string, len(cols))
 		for ci, c := range cols {
@@ -535,33 +381,32 @@ func grid(sw *Sweep, tableTitle string, benches []string, cols []column, format 
 			cells = append(cells, cell)
 		}
 	}
-	got, err := sweepRun(sw, cells)
-	if err != nil {
-		return nil, err
-	}
-	headers := []string{"Program"}
-	for _, c := range cols {
-		headers = append(headers, c.header)
-	}
-	t := stats.NewTable(tableTitle, headers...)
-	colVals := make([][]float64, len(cols))
-	for bi, b := range benches {
-		row := []string{title(b)}
-		for ci := range cols {
-			v, ok := got[keys[bi][ci]]
-			if ok {
-				colVals[ci] = append(colVals[ci], v)
+	sw.plan.add(cells)
+	return func() *stats.Table {
+		headers := []string{"Program"}
+		for _, c := range cols {
+			headers = append(headers, c.header)
+		}
+		t := stats.NewTable(tableTitle, headers...)
+		colVals := make([][]float64, len(cols))
+		for bi, b := range benches {
+			row := []string{title(b)}
+			for ci := range cols {
+				v, ok := sw.plan.vals[keys[bi][ci]].(float64)
+				if ok {
+					colVals[ci] = append(colVals[ci], v)
+				}
+				row = append(row, fmtCell(v, ok, format))
 			}
-			row = append(row, fmtCell(v, ok, format))
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
-	}
-	if withAvg {
-		row := []string{"Average"}
-		for ci := range cols {
-			row = append(row, fmtCell(stats.Mean(colVals[ci]), len(colVals[ci]) > 0, format))
+		if withAvg {
+			row := []string{"Average"}
+			for ci := range cols {
+				row = append(row, fmtCell(stats.Mean(colVals[ci]), len(colVals[ci]) > 0, format))
+			}
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
+		return t
 	}
-	return t, nil
 }

@@ -19,17 +19,24 @@ func testGrid(sw *Sweep) (*stats.Table, error) {
 // faultGrid is testGrid over the given patterns, where a pattern named in
 // faults runs its first column on that port instead of true-1.
 func faultGrid(sw *Sweep, pats []string, faults map[string]lbic.PortConfig) (*stats.Table, error) {
-	ports := []lbic.PortConfig{lbic.IdealPort(1), lbic.BankedPort(4)}
-	cols := make([]column, len(ports))
-	for i, port := range ports {
-		cols[i] = column{header: port.Name(), cell: func(pat string) cell[float64] {
-			if f, ok := faults[pat]; ok && i == 0 {
-				return sw.simPattern(pat, f)
-			}
-			return sw.simPattern(pat, port)
-		}}
+	return runOne(sw, faultTable(pats, faults))
+}
+
+// faultTable is faultGrid's table, for a plan.
+func faultTable(pats []string, faults map[string]lbic.PortConfig) func(*Sweep) func() *stats.Table {
+	return func(sw *Sweep) func() *stats.Table {
+		ports := []lbic.PortConfig{lbic.IdealPort(1), lbic.BankedPort(4)}
+		cols := make([]column, len(ports))
+		for i, port := range ports {
+			cols[i] = column{header: port.Name(), cell: func(pat string) cell {
+				if f, ok := faults[pat]; ok && i == 0 {
+					return sw.simPattern(pat, f)
+				}
+				return sw.simPattern(pat, port)
+			}}
+		}
+		return grid(sw, "test grid", pats, cols, stats.FormatIPC, true)
 	}
-	return grid(sw, "test grid", pats, cols, stats.FormatIPC, true)
 }
 
 // panicArbiter's Grant panics, standing in for a buggy arbiter design.

@@ -18,30 +18,31 @@ func workloadPorts() []lbic.PortConfig { return lbic.PortAxis() }
 // under one port organization at the sweep budget. The cell key embeds the
 // fully resolved parameter key, so two parameterizations of one generator
 // never share a key or a memoized Result.
-func (sw *Sweep) simGen(kind string, port lbic.PortConfig) cell[float64] {
+func (sw *Sweep) simGen(kind string, port lbic.PortConfig) cell {
 	return sw.genCell(kind, port, "", func(r *lbic.Result) float64 { return r.IPC })
 }
 
 // simGenConflict is simGen reduced to the same-bank conflict rate. Distinct
 // key namespace: the cell's value differs.
-func (sw *Sweep) simGenConflict(kind string, port lbic.PortConfig) cell[float64] {
+func (sw *Sweep) simGenConflict(kind string, port lbic.PortConfig) cell {
 	return sw.genCell(kind, port, "conf/", func(r *lbic.Result) float64 { return r.PortConflictRate() })
 }
 
-func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func(*lbic.Result) float64) cell[float64] {
+func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func(*lbic.Result) float64) cell {
 	insts := sw.Insts
 	params := lbic.GenParams{Kind: kind}
 	rp, err := params.Resolve()
 	if err != nil {
 		key := fmt.Sprintf("sim/%sgen:%s/%s/i%d", ns, kind, port.Key(), insts)
-		return cell[float64]{Key: key, run: func(context.Context) (float64, error) { return 0, err }}
+		return cell{Key: key, stream: "gen/" + kind, run: func(context.Context) (any, error) { return nil, err }}
 	}
 	// The memo key strips the namespace: the IPC and conflict-rate views of
 	// one (generator, port, budget) point are the same simulation, so the
 	// second table reuses the first's Result instead of re-synthesizing the
 	// stream.
-	return cell[float64]{Key: fmt.Sprintf("sim/%s%s/%s/i%d", ns, rp.Key(), port.Key(), insts), sim: &simSpec[float64]{
-		group:   fmt.Sprintf("gen/%s/i%d", rp.Key(), insts),
+	stream := "gen/" + rp.Key()
+	return cell{Key: fmt.Sprintf("sim/%s%s/%s/i%d", ns, rp.Key(), port.Key(), insts), stream: stream, sim: &simSpec{
+		group:   fmt.Sprintf("%s/i%d", stream, insts),
 		source:  func() (lbic.Source, error) { return lbic.GeneratorSource(params), nil },
 		port:    port,
 		insts:   insts,
@@ -50,33 +51,33 @@ func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func
 	}}
 }
 
-// WorkloadMatrix simulates every catalog workload generator against a
+// workloadMatrix simulates every catalog workload generator against a
 // representative of each port-organization family and reports IPC. It is
 // the modern-workload companion to the access-pattern matrix: where the
 // patterns isolate single access shapes, the generators model whole
 // post-SPEC95 reference streams (KV lookups, hash joins, pointer chasing,
 // GC sweeps, multiprogrammed interleavings).
-func WorkloadMatrix(sw *Sweep) (*stats.Table, error) {
+func workloadMatrix(sw *Sweep) func() *stats.Table {
 	return workloadGrid(sw, "Workload-generator matrix (IPC)",
 		(*Sweep).simGen, stats.FormatIPC)
 }
 
-// WorkloadConflicts is the same sweep viewed through the port subsystem:
+// workloadConflicts is the same sweep viewed through the port subsystem:
 // same-bank conflicts per access on each organization. Rates can exceed 1 —
 // a request that stalls re-conflicts every cycle it waits — which is
 // exactly the pressure the adversarial search maximizes.
-func WorkloadConflicts(sw *Sweep) (*stats.Table, error) {
+func workloadConflicts(sw *Sweep) func() *stats.Table {
 	return workloadGrid(sw, "Workload-generator matrix (bank conflicts per access)",
 		(*Sweep).simGenConflict, formatRate)
 }
 
-func workloadGrid(sw *Sweep, tableTitle string, gen func(*Sweep, string, lbic.PortConfig) cell[float64], format func(float64) string) (*stats.Table, error) {
+func workloadGrid(sw *Sweep, tableTitle string, gen func(*Sweep, string, lbic.PortConfig) cell, format func(float64) string) func() *stats.Table {
 	ports := workloadPorts()
 	names := lbic.GeneratorKinds()
 	cols := make([]column, len(ports))
 	for i, port := range ports {
 		port := port
-		cols[i] = column{header: port.Name(), cell: func(kind string) cell[float64] {
+		cols[i] = column{header: port.Name(), cell: func(kind string) cell {
 			return gen(sw, kind, port)
 		}}
 	}

@@ -12,13 +12,13 @@ func TestWorkloadMatrices(t *testing.T) {
 	sw := testSweep(tinyInsts)
 	for _, gen := range []struct {
 		name string
-		run  func(*Sweep) (*stats.Table, error)
+		run  func(*Sweep) func() *stats.Table
 	}{
-		{"ipc", WorkloadMatrix},
-		{"conflicts", WorkloadConflicts},
+		{"ipc", workloadMatrix},
+		{"conflicts", workloadConflicts},
 	} {
 		t.Run(gen.name, func(t *testing.T) {
-			tbl, err := gen.run(sw)
+			tbl, err := runOne(sw, gen.run)
 			if err != nil {
 				t.Fatal(err)
 			}

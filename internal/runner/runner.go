@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,6 +42,11 @@ type Cell[T any] struct {
 	// cell's settlement. A cell standing for several results (a lane batch)
 	// settles its members here.
 	Settled func(Result[T])
+	// Excl, when non-empty, names what the cell holds while it runs: two
+	// cells with the same Excl never run at the same time. A cell whose
+	// Excl a running cell holds waits, and the next cell in input order
+	// launches in its place.
+	Excl string
 }
 
 // Result is the outcome of one cell.
@@ -96,11 +102,13 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // before its goroutine is abandoned. Package variable for tests.
 var abandonGrace = 100 * time.Millisecond
 
-// Run executes the cells and returns one Result each, in input order. The
-// returned error is nil unless the context was canceled, a cell key is
-// duplicated or empty, or (without Options.KeepGoing) a cell failed — in
-// which case it wraps the first failure in input order. The Outcome is valid
-// in every case, including on error.
+// Run executes the cells and returns one Result each, in input order. Cells
+// launch in input order, except that one whose Excl a running cell holds
+// waits and lets the next launch. The returned error is nil unless the
+// context was canceled, a cell key is duplicated or empty, or (without
+// Options.KeepGoing) a cell failed — in which case it wraps the first
+// failure in input order. The Outcome is valid in every case, including on
+// error.
 func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T], error) {
 	out := Outcome[T]{Results: make([]Result[T], len(cells))}
 	seen := make(map[string]struct{}, len(cells))
@@ -121,11 +129,15 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex // guards settle() and fail-fast bookkeeping
+		mu       sync.Mutex // guards settle(), held and fail-fast bookkeeping
 		sem      = make(chan struct{}, jobs)
 		halt     = make(chan struct{}) // closed to stop launching new cells
 		haltOnce sync.Once
 		allDone  = make(chan struct{})
+		held     = map[string]bool{} // the Excl of every running cell
+		// finished wakes a launcher that waits on an Excl; one send per
+		// launched cell, so a send never blocks.
+		finished = make(chan struct{}, len(cells))
 	)
 	stop := func() { haltOnce.Do(func() { close(halt) }) }
 	if opts.Stop != nil {
@@ -181,7 +193,28 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 		return false
 	}
 
-	for i := range cells {
+	// pending holds the cells not yet launched, in input order; next takes
+	// the first whose Excl no running cell holds.
+	pending := make([]int, len(cells))
+	for i := range pending {
+		pending[i] = i
+	}
+	next := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for j, i := range pending {
+			if e := cells[i].Excl; e == "" || !held[e] {
+				if e != "" {
+					held[e] = true
+				}
+				pending = slices.Delete(pending, j, j+1)
+				return i, true
+			}
+		}
+		return 0, false
+	}
+
+	for len(pending) > 0 {
 		skip := stopRequested()
 		if !skip {
 			select {
@@ -197,7 +230,21 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 			}
 		}
 		if skip {
-			settle(i, Result[T]{Key: cells[i].Key, Err: ErrSkipped})
+			for _, i := range pending {
+				settle(i, Result[T]{Key: cells[i].Key, Err: ErrSkipped})
+			}
+			break
+		}
+		i, ok := next()
+		if !ok {
+			// Every pending cell waits on a running one: hand the slot back
+			// until a cell finishes.
+			<-sem
+			select {
+			case <-finished:
+			case <-halt:
+			case <-ctx.Done():
+			}
 			continue
 		}
 		wg.Add(1)
@@ -205,6 +252,12 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 			defer wg.Done()
 			defer func() { <-sem }()
 			settle(i, runCell(ctx, cells[i], opts))
+			if e := cells[i].Excl; e != "" {
+				mu.Lock()
+				delete(held, e)
+				mu.Unlock()
+			}
+			finished <- struct{}{}
 		}(i)
 	}
 	wg.Wait()

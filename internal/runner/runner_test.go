@@ -233,3 +233,54 @@ func TestContextCancelReturnsError(t *testing.T) {
 		t.Errorf("cell = %+v, want ErrSkipped", out.Results[0])
 	}
 }
+
+// TestExclNeverOverlaps: cells sharing an Excl never run at the same time,
+// and one waiting on its Excl holds no worker: the next cell in input order
+// launches in its place.
+func TestExclNeverOverlaps(t *testing.T) {
+	// x1 finishes only once y has started. y comes after x2 in input order,
+	// so it starts only if x2, waiting on x1's Excl, lets it pass.
+	yStarted := make(chan struct{})
+	var xRunning atomic.Int32
+	xCell := func(key string, waitY bool) Cell[int] {
+		return Cell[int]{Key: key, Excl: "x", Run: func(context.Context) (int, error) {
+			if xRunning.Add(1) > 1 {
+				t.Errorf("%s runs beside another x cell", key)
+			}
+			defer xRunning.Add(-1)
+			if waitY {
+				select {
+				case <-yStarted:
+				case <-time.After(5 * time.Second):
+					return 0, errors.New("y never started while x1 ran")
+				}
+			}
+			return 1, nil
+		}}
+	}
+	y := Cell[int]{Key: "y", Excl: "y", Run: func(context.Context) (int, error) { close(yStarted); return 2, nil }}
+	out, err := Run(context.Background(), []Cell[int]{xCell("x1", true), xCell("x2", false), y}, Options{Jobs: 2})
+	if err != nil || out.Done != 3 {
+		t.Fatalf("Run = %+v, %v; want three successes", out, err)
+	}
+
+	// Many cells in a few Excl groups on more workers than groups: each
+	// group still runs one cell at a time, and every cell runs.
+	var running [3]atomic.Int32
+	var cells []Cell[int]
+	for i := range 24 {
+		g := i % 3
+		cells = append(cells, Cell[int]{Key: fmt.Sprintf("c%d", i), Excl: fmt.Sprintf("g%d", g),
+			Run: func(context.Context) (int, error) {
+				if running[g].Add(1) > 1 {
+					t.Errorf("two cells of group %d run at once", g)
+				}
+				time.Sleep(time.Millisecond)
+				running[g].Add(-1)
+				return g, nil
+			}})
+	}
+	if out, err := Run(context.Background(), cells, Options{Jobs: 8}); err != nil || out.Done != len(cells) {
+		t.Fatalf("Run = %d of %d done, %v", out.Done, len(cells), err)
+	}
+}
