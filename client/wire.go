@@ -160,8 +160,8 @@ type JobStatus struct {
 	Results []CellResult `json:"results,omitempty"`
 }
 
-// StreamEvent is one line of a job's JSONL progress stream (or one SSE
-// data payload).
+// StreamEvent is one line of a job's JSONL progress stream, the only
+// framing GET /v1/jobs/{id}/stream serves.
 type StreamEvent struct {
 	// Type is "cell" for a finished cell, "done" when the job completes.
 	Type string `json:"type"`

@@ -3,14 +3,18 @@
 // and checks server health:
 //
 //	lbicctl top -bench compress,li -ports bank-4,lbic-4x2 -insts 500000
-//	lbicctl top -job sweep-3                 # attach to a running job
-//	lbicctl trace -job sweep-3 -o sweep3.trace.json   # chrome://tracing
-//	lbicctl trace -job sweep-3 -format jsonl -o sweep3.jsonl
+//	lbicctl top -job job-3                   # attach to a submitted job
+//	lbicctl trace -job job-3 -o job3.trace.json   # chrome://tracing
+//	lbicctl trace -job job-3 -format jsonl -o job3.jsonl
 //	lbicctl health
 //
-// top renders a live two-line status (cells done, failures, cache-hit rate,
-// and p50/p95/p99 server-side cell latency) when stdout is a terminal, and
-// one line per finished cell otherwise — so it is pipe- and CI-safe.
+// top tails the job's JSONL stream (GET /v1/jobs/{id}/stream) and renders a
+// live two-line status (cells done, failures, cache-hit rate, and
+// p50/p95/p99 server-side cell latency) when stdout is a terminal, and one
+// line per finished cell otherwise, so it is pipe- and CI-safe. A dropped
+// connection ends top with an error; "lbicctl top -job <id>" re-attaches,
+// and the stream replays the cells that already finished. top exits 1 when
+// any cell failed.
 package main
 
 import (
@@ -109,7 +113,7 @@ func cmdTop(args []string) error {
 		return err
 	}
 	mon := newMonitor(os.Stdout, id, st.Total)
-	if err := c.StreamSSE(ctx, id, mon.observe); err != nil {
+	if err := c.Stream(ctx, id, mon.observe); err != nil {
 		return err
 	}
 	mon.finish()
@@ -130,6 +134,9 @@ func cmdTrace(args []string) error {
 	fs.Parse(args)
 	if *jobID == "" {
 		return fmt.Errorf("trace: -job is required")
+	}
+	if *format != "chrome" && *format != "jsonl" {
+		return fmt.Errorf("trace: unknown -format %q (want chrome or jsonl)", *format)
 	}
 	ctx, stop := signalContext()
 	defer stop()
@@ -155,13 +162,10 @@ func cmdTrace(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "chrome":
+	if *format == "chrome" {
 		err = lbic.WriteChromeTrace(w, h.Name, spans)
-	case "jsonl":
+	} else {
 		err = lbic.WriteTraceJSONL(w, h.Name, h.EpochUnixNS, spans)
-	default:
-		return fmt.Errorf("trace: unknown -format %q (want chrome or jsonl)", *format)
 	}
 	if err != nil {
 		return err

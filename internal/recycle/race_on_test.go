@@ -1,0 +1,5 @@
+//go:build race
+
+package recycle
+
+const raceEnabled = true

@@ -21,6 +21,9 @@ import "sync"
 // to use and safe for concurrent use.
 type Slices[T any] struct {
 	byCap sync.Map // int -> *sync.Pool of *[]T
+	// boxes holds emptied *[]T: Make returns the box its buffer came in, and
+	// Put stores its buffer in one, so a warm Make and Put allocate nothing.
+	boxes sync.Pool
 }
 
 // Make returns a slice of n zero values, exactly as make([]T, n) would: a
@@ -37,6 +40,8 @@ func (s *Slices[T]) Make(n int) []T {
 		return make([]T, n)
 	}
 	buf := *b
+	*b = nil
+	s.boxes.Put(b)
 	clear(buf)
 	return buf
 }
@@ -47,7 +52,11 @@ func (s *Slices[T]) Make(n int) []T {
 // the garbage collector.
 func (s *Slices[T]) Put(buf []T) {
 	if p, ok := s.byCap.Load(cap(buf)); ok {
-		buf = buf[:cap(buf)]
-		p.(*sync.Pool).Put(&buf)
+		b, _ := s.boxes.Get().(*[]T)
+		if b == nil {
+			b = new([]T)
+		}
+		*b = buf[:cap(buf)]
+		p.(*sync.Pool).Put(b)
 	}
 }

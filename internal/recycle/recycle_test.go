@@ -53,3 +53,17 @@ func TestConcurrentMakePut(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestWarmCycleAllocatesNothing: once a capacity has been made and put back,
+// a Make and Put of it allocate neither a buffer nor the box the pool keeps
+// it in. Skipped under the race detector, whose pools drop items at random.
+func TestWarmCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	var p Slices[uint64]
+	p.Put(p.Make(1024))
+	if avg := testing.AllocsPerRun(100, func() { p.Put(p.Make(1024)) }); avg != 0 {
+		t.Errorf("a warm Make and Put allocate %.2f objects, want 0", avg)
+	}
+}

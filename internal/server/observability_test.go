@@ -190,36 +190,3 @@ func TestRequestLog(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamSSEClient checks the SSE client parser end to end against the
-// server's SSE framing.
-func TestStreamSSEClient(t *testing.T) {
-	_, c := newTestServer(t, server.Options{})
-	ctx := context.Background()
-	st, err := c.Sweep(ctx, client.SweepRequest{
-		Benchmarks: []string{"compress"},
-		Ports:      []client.PortSpec{client.Port("true-1")},
-		Insts:      testInsts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cells, dones int
-	if err := c.StreamSSE(ctx, st.ID, func(ev client.StreamEvent) error {
-		switch ev.Type {
-		case "cell":
-			cells++
-			if ev.Cell == nil || ev.Cell.ElapsedNS <= 0 {
-				t.Errorf("cell event without elapsed time: %+v", ev.Cell)
-			}
-		case "done":
-			dones++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if cells != st.Total || dones != 1 {
-		t.Errorf("SSE saw %d cells, %d done events; want %d and 1", cells, dones, st.Total)
-	}
-}

@@ -7,8 +7,8 @@
 // cell key, and served from two reuse layers — a process-wide trace cache
 // (record once, replay many) and an LRU result cache keyed by (program,
 // config) — so a repeated table regeneration costs no simulation at all.
-// Jobs stream per-cell progress as JSONL or SSE, /metrics exports the
-// registry, and a graceful drain finishes in-flight work before exit.
+// Jobs stream per-cell progress as JSONL, /metrics exports the registry,
+// and a graceful drain finishes in-flight work before exit.
 package server
 
 import (
@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,10 +52,6 @@ type Options struct {
 	// ResultCacheBytes budgets the report LRU. Default 64 MiB; < 0 disables
 	// result caching.
 	ResultCacheBytes int64
-	// MaxJobs bounds retained sweep jobs; when full, the oldest finished job
-	// is evicted, and if none has finished new sweeps are rejected with 429.
-	// Default 64.
-	MaxJobs int
 	// Log receives one structured line per HTTP request (request ID, method,
 	// route, status, bytes, duration). Default: discard.
 	Log *slog.Logger
@@ -80,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResultCacheBytes == 0 {
 		o.ResultCacheBytes = 64 << 20
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 64
 	}
 	return o
 }
@@ -121,7 +112,7 @@ type Server struct {
 
 	jobsMu  sync.Mutex
 	jobs    map[string]*job
-	jobSeq  []string // ids in creation order, for MaxJobs eviction
+	jobSeq  []string // ids in creation order, for maxJobs eviction
 	nextJob atomic.Uint64
 
 	mRequests         atomic.Uint64
@@ -312,10 +303,6 @@ func (s *Server) Close() {
 	s.BeginDrain()
 	s.cancel()
 }
-
-// TraceCache exposes the shared trace cache (nil when disabled) so an
-// embedding process can pre-warm or inspect it.
-func (s *Server) TraceCache() *lbic.TraceCache { return s.traces }
 
 // errQueueFull and errDraining distinguish the two admission rejections.
 var (
@@ -536,12 +523,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
+// maxJobs bounds retained sweep jobs: when the table is full, the oldest
+// finished job is evicted, and if none has finished a new sweep is rejected
+// with 429.
+const maxJobs = 64
+
 // registerJob allocates a job slot, evicting the oldest finished job when
 // the retention cap is reached.
 func (s *Server) registerJob(total int) (*job, error) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
-	for len(s.jobs) >= s.opts.MaxJobs {
+	for len(s.jobs) >= maxJobs {
 		evicted := false
 		for i, id := range s.jobSeq {
 			if j, ok := s.jobs[id]; ok && j.status(false).State != client.JobRunning {
@@ -605,6 +597,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status(true))
 }
 
+// handleJobStream follows a job as JSONL, one event per line: every cell
+// already settled first, so a late subscriber misses nothing, then each new
+// one as it settles, ending with the done event.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	s.mRequests.Add(1)
 	j, ok := s.lookupJob(r.PathValue("id"))
@@ -612,37 +607,17 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/jsonl")
-	}
-	i := 0
-	// SSE reconnects resume: the id: field on every event is its index in
-	// the job's stream, and a Last-Event-ID header (sent automatically by
-	// EventSource and by client.StreamSSE) skips the prefix the subscriber
-	// already consumed — no cell is ever double-counted across a dropped
-	// connection.
-	if sse {
-		i = resumeIndex(r.Header.Get("Last-Event-ID"))
-	}
+	w.Header().Set("Content-Type", "application/jsonl")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
+	i := 0
 	for {
 		evs, wake, final := j.next(i)
-		for k, ev := range evs {
-			if sse {
-				fmt.Fprintf(w, "event: %s\nid: %d\ndata: ", ev.Type, i+k)
-			}
+		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {
 				return
-			}
-			if sse {
-				fmt.Fprint(w, "\n")
 			}
 		}
 		i += len(evs)
@@ -662,21 +637,6 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-}
-
-// resumeIndex maps an SSE Last-Event-ID to the stream index after it. Any
-// id at or past the job's last event resumes past the end, including ids
-// too large for an int, so a finished job's stream ends cleanly; a missing
-// or malformed id replays from the start.
-func resumeIndex(lastID string) int {
-	last, err := strconv.ParseUint(lastID, 10, 64)
-	switch {
-	case err != nil && !errors.Is(err, strconv.ErrRange):
-		return 0
-	case last >= math.MaxInt:
-		return math.MaxInt
-	}
-	return int(last) + 1
 }
 
 // buildHealth assembles the health body: status plus the binary's build

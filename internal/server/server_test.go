@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -405,6 +406,10 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
+// TestJobStreamDeliversEveryCell follows a sweep through client.Stream,
+// then reads the finished job's stream again with a raw request that asks
+// for Server-Sent Events: the route serves JSONL whatever the Accept header
+// says, and replays the same events.
 func TestJobStreamDeliversEveryCell(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	ctx := context.Background()
@@ -416,12 +421,17 @@ func TestJobStreamDeliversEveryCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events []client.StreamEvent
 	var cells, dones int
 	err = c.Stream(ctx, st.ID, func(ev client.StreamEvent) error {
+		events = append(events, ev)
 		switch ev.Type {
 		case "cell":
 			if ev.Cell == nil || ev.Cell.Error != "" {
 				return fmt.Errorf("bad cell event %+v", ev)
+			}
+			if ev.Cell.ElapsedNS <= 0 {
+				return fmt.Errorf("cell event without elapsed time: %+v", ev.Cell)
 			}
 			cells++
 		case "done":
@@ -438,22 +448,7 @@ func TestJobStreamDeliversEveryCell(t *testing.T) {
 	if cells != st.Total || dones != 1 {
 		t.Errorf("stream delivered %d cells / %d done events, want %d / 1", cells, dones, st.Total)
 	}
-}
 
-func TestJobStreamSSE(t *testing.T) {
-	_, c := newTestServer(t, server.Options{})
-	ctx := context.Background()
-	st, err := c.Sweep(ctx, client.SweepRequest{
-		Benchmarks: []string{"compress"},
-		Ports:      []client.PortSpec{client.Port("true-1")},
-		Insts:      testInsts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+st.ID+"/stream", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -464,15 +459,22 @@ func TestJobStreamSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("Content-Type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/jsonl" {
+		t.Errorf("Accept: text/event-stream got Content-Type %q, want application/jsonl", ct)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	var replayed []client.StreamEvent
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev client.StreamEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("decoding the replayed stream: %v", err)
+		}
+		replayed = append(replayed, ev)
 	}
-	if !bytes.Contains(body, []byte("event: cell\nid: 0\ndata: ")) || !bytes.Contains(body, []byte("event: done\nid: 1\ndata: ")) {
-		t.Errorf("SSE body missing events (with id fields):\n%s", body)
+	if !reflect.DeepEqual(replayed, events) {
+		t.Errorf("replayed stream differs from the followed one:\n got %+v\nwant %+v", replayed, events)
 	}
 }
 
@@ -639,64 +641,5 @@ func TestDrainUnderLoadCompletesInFlightSweep(t *testing.T) {
 	}
 	if final.State != "done" || final.Done != final.Total || final.Failed != 0 {
 		t.Errorf("after drain job = %+v, want all %d cells done", final, final.Total)
-	}
-}
-
-func TestJobStreamSSEResume(t *testing.T) {
-	_, c := newTestServer(t, server.Options{})
-	ctx := context.Background()
-	st, err := c.Sweep(ctx, client.SweepRequest{
-		Benchmarks: []string{"compress", "li"},
-		Ports:      []client.PortSpec{client.Port("true-1")},
-		Insts:      testInsts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	// 2 cells + done = ids 0, 1, 2. A resume from id 0 must replay only the
-	// unseen suffix — no double-counting on reconnect.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+st.ID+"/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set("Last-Event-ID", "0")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(body, []byte("id: 0\n")) {
-		t.Errorf("resumed stream replayed the consumed prefix:\n%s", body)
-	}
-	if !bytes.Contains(body, []byte("id: 1\n")) || !bytes.Contains(body, []byte("id: 2\n")) {
-		t.Errorf("resumed stream missing the unseen suffix:\n%s", body)
-	}
-	// An id one past done, or the largest the header can carry, resumes
-	// past the end: the finished job's stream ends cleanly with no events.
-	for _, last := range []string{"3", "9223372036854775807"} {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+st.ID+"/stream", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Accept", "text/event-stream")
-		req.Header.Set("Last-Event-ID", last)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 0 {
-			t.Errorf("Last-Event-ID %s: status %d, body %q, read error %v; want an empty stream that ends cleanly",
-				last, resp.StatusCode, body, err)
-		}
 	}
 }

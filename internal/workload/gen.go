@@ -73,58 +73,89 @@ type GenInfo struct {
 	Defaults GenParams
 }
 
-var genRegistry = []GenInfo{
+// genKind is one generator kind's registry entry: its catalog entry, the
+// fields it uses in key order (mem_pct first), and the fill that emits its
+// next loop iteration. Validate, Key, Stream and GenFieldsOf all read it.
+type genKind struct {
+	GenInfo
+	fields []GenField
+	fill   func(p *GenParams, g *genStream)
+}
+
+var genRegistry = []genKind{
 	{
-		Kind: "zipf",
-		Description: "key-value GETs over a record heap with zipfian-style popularity; " +
-			"UpdatePct of operations rewrite the record",
-		Defaults: GenParams{
-			Kind: "zipf", Seed: 1, MemPct: 40,
-			Keys: 1 << 16, RecordBytes: 64, SkewPct: 90, UpdatePct: 10,
+		GenInfo: GenInfo{
+			Kind: "zipf",
+			Description: "key-value GETs over a record heap with zipfian-style popularity; " +
+				"UpdatePct of operations rewrite the record",
+			Defaults: GenParams{
+				Kind: "zipf", Seed: 1, MemPct: 40,
+				Keys: 1 << 16, RecordBytes: 64, SkewPct: 90, UpdatePct: 10,
+			},
 		},
+		fields: []GenField{fieldMemPct, fieldKeys, fieldRecord, fieldSkew, fieldUpdate},
+		fill:   (*GenParams).fillZipf,
 	},
 	{
-		Kind: "hashjoin",
-		Description: "sequential probe-relation scan, hashed bucket lookup, then Chain " +
-			"dependent hops down the bucket chain",
-		Defaults: GenParams{
-			Kind: "hashjoin", Seed: 1, MemPct: 45,
-			Footprint: 1 << 20, Buckets: 1 << 15, Chain: 2,
+		GenInfo: GenInfo{
+			Kind: "hashjoin",
+			Description: "sequential probe-relation scan, hashed bucket lookup, then Chain " +
+				"dependent hops down the bucket chain",
+			Defaults: GenParams{
+				Kind: "hashjoin", Seed: 1, MemPct: 45,
+				Footprint: 1 << 20, Buckets: 1 << 15, Chain: 2,
+			},
 		},
+		fields: []GenField{fieldMemPct, fieldFootprint, fieldBuckets, fieldChain},
+		fill:   (*GenParams).fillHashJoin,
 	},
 	{
-		Kind: "chase",
-		Description: "pointer chasing: Lanes serial dependence chains walking a shuffled " +
-			"pointer pool in lockstep",
-		Defaults: GenParams{
-			Kind: "chase", Seed: 1, MemPct: 25,
-			Footprint: 1 << 20, Lanes: 1,
+		GenInfo: GenInfo{
+			Kind: "chase",
+			Description: "pointer chasing: Lanes serial dependence chains walking a shuffled " +
+				"pointer pool in lockstep",
+			Defaults: GenParams{
+				Kind: "chase", Seed: 1, MemPct: 25,
+				Footprint: 1 << 20, Lanes: 1,
+			},
 		},
+		fields: []GenField{fieldMemPct, fieldFootprint, fieldLanes},
+		fill:   (*GenParams).fillChase,
 	},
 	{
-		Kind: "gcsweep",
-		Description: "garbage-collector sweep: strided object-header scan over the heap " +
-			"with MarkPct mark writes",
-		Defaults: GenParams{
-			Kind: "gcsweep", Seed: 1, MemPct: 35,
-			Footprint: 4 << 20, Stride: 48, MarkPct: 20,
+		GenInfo: GenInfo{
+			Kind: "gcsweep",
+			Description: "garbage-collector sweep: strided object-header scan over the heap " +
+				"with MarkPct mark writes",
+			Defaults: GenParams{
+				Kind: "gcsweep", Seed: 1, MemPct: 35,
+				Footprint: 4 << 20, Stride: 48, MarkPct: 20,
+			},
 		},
+		fields: []GenField{fieldMemPct, fieldFootprint, fieldStride, fieldMark},
+		fill:   (*GenParams).fillGCSweep,
 	},
 	{
-		Kind: "multiprog",
-		Description: "Contexts independent programs (streaming, strided, hot-set) " +
-			"interleaved on one cache every Quantum instructions",
-		Defaults: GenParams{
-			Kind: "multiprog", Seed: 1, MemPct: 40,
-			Footprint: 1 << 19, Contexts: 4, Quantum: 64,
+		GenInfo: GenInfo{
+			Kind: "multiprog",
+			Description: "Contexts independent programs (streaming, strided, hot-set) " +
+				"interleaved on one cache every Quantum instructions",
+			Defaults: GenParams{
+				Kind: "multiprog", Seed: 1, MemPct: 40,
+				Footprint: 1 << 19, Contexts: 4, Quantum: 64,
+			},
 		},
+		fields: []GenField{fieldMemPct, fieldFootprint, fieldContexts, fieldQuantum},
+		fill:   (*GenParams).fillMultiprog,
 	},
 }
 
 // Generators returns the generator catalog in canonical order.
 func Generators() []GenInfo {
 	out := make([]GenInfo, len(genRegistry))
-	copy(out, genRegistry)
+	for i, g := range genRegistry {
+		out[i] = g.GenInfo
+	}
 	return out
 }
 
@@ -137,12 +168,20 @@ func GenKinds() []string {
 	return out
 }
 
+// genKindOf finds a generator kind's registry entry.
+func genKindOf(kind string) (*genKind, bool) {
+	for i := range genRegistry {
+		if genRegistry[i].Kind == kind {
+			return &genRegistry[i], true
+		}
+	}
+	return nil, false
+}
+
 // GenByKind finds a generator kind.
 func GenByKind(kind string) (GenInfo, bool) {
-	for _, g := range genRegistry {
-		if g.Kind == kind {
-			return g, true
-		}
+	if k, ok := genKindOf(kind); ok {
+		return k.GenInfo, true
 	}
 	return GenInfo{}, false
 }
@@ -166,28 +205,11 @@ func (p GenParams) withDefaults() (GenParams, error) {
 	if p.Seed == 0 {
 		p.Seed = def.Seed
 	}
-	fill := func(f *int, d int) {
-		if *f == 0 {
-			*f = d
+	for _, f := range allGenFields {
+		if f.Get(&p) == 0 {
+			f.Set(&p, f.Get(&def))
 		}
 	}
-	fill(&p.MemPct, def.MemPct)
-	if p.Footprint == 0 {
-		p.Footprint = def.Footprint
-	}
-	fill(&p.Keys, def.Keys)
-	fill(&p.RecordBytes, def.RecordBytes)
-	fill(&p.SkewPct, def.SkewPct)
-	fill(&p.UpdatePct, def.UpdatePct)
-	fill(&p.Buckets, def.Buckets)
-	fill(&p.Chain, def.Chain)
-	fill(&p.Lanes, def.Lanes)
-	if p.Stride == 0 {
-		p.Stride = def.Stride
-	}
-	fill(&p.MarkPct, def.MarkPct)
-	fill(&p.Contexts, def.Contexts)
-	fill(&p.Quantum, def.Quantum)
 	return p, nil
 }
 
@@ -216,6 +238,7 @@ type GenField struct {
 	Step   int64 // smallest meaningful change (and required multiple)
 	Acc    func(*GenParams) *int64
 	intAcc func(*GenParams) *int
+	key    byte // the field's letter in Key
 }
 
 // Get reads the field's current value.
@@ -235,44 +258,41 @@ func (f GenField) Set(p *GenParams, v int64) {
 	*f.intAcc(p) = int(v)
 }
 
-func fInt(name string, lo, hi, step int64, acc func(*GenParams) *int) GenField {
-	return GenField{Name: name, Min: lo, Max: hi, Step: step, intAcc: acc}
+func fInt(name string, key byte, lo, hi, step int64, acc func(*GenParams) *int) GenField {
+	return GenField{Name: name, Min: lo, Max: hi, Step: step, intAcc: acc, key: key}
 }
 
-func f64(name string, lo, hi, step int64, acc func(*GenParams) *int64) GenField {
-	return GenField{Name: name, Min: lo, Max: hi, Step: step, Acc: acc}
+func f64(name string, key byte, lo, hi, step int64, acc func(*GenParams) *int64) GenField {
+	return GenField{Name: name, Min: lo, Max: hi, Step: step, Acc: acc, key: key}
 }
 
 var (
-	fieldMemPct    = fInt("mem_pct", 1, 95, 1, func(p *GenParams) *int { return &p.MemPct })
-	fieldFootprint = f64("footprint", GenMinFootprint, GenMaxFootprint, 8, func(p *GenParams) *int64 { return &p.Footprint })
-	fieldKeys      = fInt("keys", 1, GenMaxKeys, 1, func(p *GenParams) *int { return &p.Keys })
-	fieldRecord    = fInt("record_bytes", 8, GenMaxRecord, 8, func(p *GenParams) *int { return &p.RecordBytes })
-	fieldSkew      = fInt("skew_pct", 0, 99, 1, func(p *GenParams) *int { return &p.SkewPct })
-	fieldUpdate    = fInt("update_pct", 0, 100, 1, func(p *GenParams) *int { return &p.UpdatePct })
-	fieldBuckets   = fInt("buckets", 1, GenMaxBuckets, 1, func(p *GenParams) *int { return &p.Buckets })
-	fieldChain     = fInt("chain", 1, GenMaxChain, 1, func(p *GenParams) *int { return &p.Chain })
-	fieldLanes     = fInt("lanes", 1, GenMaxLanes, 1, func(p *GenParams) *int { return &p.Lanes })
-	fieldStride    = f64("stride", 8, GenMaxStride, 8, func(p *GenParams) *int64 { return &p.Stride })
-	fieldMark      = fInt("mark_pct", 0, 100, 1, func(p *GenParams) *int { return &p.MarkPct })
-	fieldContexts  = fInt("contexts", 1, GenMaxContexts, 1, func(p *GenParams) *int { return &p.Contexts })
-	fieldQuantum   = fInt("quantum", 1, GenMaxQuantum, 1, func(p *GenParams) *int { return &p.Quantum })
+	fieldMemPct    = fInt("mem_pct", 'm', 1, 95, 1, func(p *GenParams) *int { return &p.MemPct })
+	fieldFootprint = f64("footprint", 'f', GenMinFootprint, GenMaxFootprint, 8, func(p *GenParams) *int64 { return &p.Footprint })
+	fieldKeys      = fInt("keys", 'k', 1, GenMaxKeys, 1, func(p *GenParams) *int { return &p.Keys })
+	fieldRecord    = fInt("record_bytes", 'r', 8, GenMaxRecord, 8, func(p *GenParams) *int { return &p.RecordBytes })
+	fieldSkew      = fInt("skew_pct", 'z', 0, 99, 1, func(p *GenParams) *int { return &p.SkewPct })
+	fieldUpdate    = fInt("update_pct", 'u', 0, 100, 1, func(p *GenParams) *int { return &p.UpdatePct })
+	fieldBuckets   = fInt("buckets", 'b', 1, GenMaxBuckets, 1, func(p *GenParams) *int { return &p.Buckets })
+	fieldChain     = fInt("chain", 'c', 1, GenMaxChain, 1, func(p *GenParams) *int { return &p.Chain })
+	fieldLanes     = fInt("lanes", 'l', 1, GenMaxLanes, 1, func(p *GenParams) *int { return &p.Lanes })
+	fieldStride    = f64("stride", 't', 8, GenMaxStride, 8, func(p *GenParams) *int64 { return &p.Stride })
+	fieldMark      = fInt("mark_pct", 'k', 0, 100, 1, func(p *GenParams) *int { return &p.MarkPct })
+	fieldContexts  = fInt("contexts", 'c', 1, GenMaxContexts, 1, func(p *GenParams) *int { return &p.Contexts })
+	fieldQuantum   = fInt("quantum", 'q', 1, GenMaxQuantum, 1, func(p *GenParams) *int { return &p.Quantum })
 )
 
-// genFields maps each kind to the fields it uses; fields outside this list
-// must be zero for the kind.
-var genFields = map[string][]GenField{
-	"zipf":      {fieldMemPct, fieldKeys, fieldRecord, fieldSkew, fieldUpdate},
-	"hashjoin":  {fieldMemPct, fieldFootprint, fieldBuckets, fieldChain},
-	"chase":     {fieldMemPct, fieldFootprint, fieldLanes},
-	"gcsweep":   {fieldMemPct, fieldFootprint, fieldStride, fieldMark},
-	"multiprog": {fieldMemPct, fieldFootprint, fieldContexts, fieldQuantum},
+// GenFieldsOf returns the mutable field descriptors for kind, in canonical
+// order (nil for unknown kinds). Fields outside the list must be zero for
+// the kind.
+func GenFieldsOf(kind string) []GenField {
+	if k, ok := genKindOf(kind); ok {
+		return k.fields
+	}
+	return nil
 }
 
-// GenFieldsOf returns the mutable field descriptors for kind, in canonical
-// order (nil for unknown kinds).
-func GenFieldsOf(kind string) []GenField { return genFields[kind] }
-
+// allGenFields lists every field once, in GenParams order.
 var allGenFields = []GenField{
 	fieldMemPct, fieldFootprint, fieldKeys, fieldRecord, fieldSkew, fieldUpdate,
 	fieldBuckets, fieldChain, fieldLanes, fieldStride, fieldMark, fieldContexts, fieldQuantum,
@@ -282,12 +302,12 @@ var allGenFields = []GenField{
 // and requires every other field to be zero, keeping one canonical struct
 // per stream. It does not fill defaults; call Resolve for that.
 func (p GenParams) Validate() error {
-	used, ok := genFields[p.Kind]
+	k, ok := genKindOf(p.Kind)
 	if !ok {
 		return fmt.Errorf("workload: unknown generator kind %q", p.Kind)
 	}
 	inUse := func(f GenField) bool {
-		for _, u := range used {
+		for _, u := range k.fields {
 			if u.Name == f.Name {
 				return true
 			}
@@ -333,18 +353,10 @@ func (p GenParams) Key() string {
 		return fmt.Sprintf("gen:%s:invalid:%+v", p.Kind, p)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "gen:%s:s%d:m%d", q.Kind, q.Seed, q.MemPct)
-	switch q.Kind {
-	case "zipf":
-		fmt.Fprintf(&b, ":k%d:r%d:z%d:u%d", q.Keys, q.RecordBytes, q.SkewPct, q.UpdatePct)
-	case "hashjoin":
-		fmt.Fprintf(&b, ":f%d:b%d:c%d", q.Footprint, q.Buckets, q.Chain)
-	case "chase":
-		fmt.Fprintf(&b, ":f%d:l%d", q.Footprint, q.Lanes)
-	case "gcsweep":
-		fmt.Fprintf(&b, ":f%d:t%d:k%d", q.Footprint, q.Stride, q.MarkPct)
-	case "multiprog":
-		fmt.Fprintf(&b, ":f%d:c%d:q%d", q.Footprint, q.Contexts, q.Quantum)
+	fmt.Fprintf(&b, "gen:%s:s%d", q.Kind, q.Seed)
+	k, _ := genKindOf(q.Kind)
+	for _, f := range k.fields {
+		fmt.Fprintf(&b, ":%c%d", f.key, f.Get(&q))
 	}
 	return b.String()
 }
@@ -357,20 +369,8 @@ func (p GenParams) Stream() (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &genStream{memPct: q.MemPct, rng: *newPRNG(q.Seed)}
-	switch q.Kind {
-	case "zipf":
-		g.fill = q.fillZipf
-	case "hashjoin":
-		g.fill = q.fillHashJoin
-	case "chase":
-		g.fill = q.fillChase
-	case "gcsweep":
-		g.fill = q.fillGCSweep
-	case "multiprog":
-		g.fill = q.fillMultiprog
-	}
-	return g, nil
+	k, _ := genKindOf(q.Kind)
+	return &genStream{p: q, fill: k.fill, memPct: q.MemPct, rng: *newPRNG(q.Seed)}, nil
 }
 
 // Generator address-space layout. Generators run trace-only (no functional
@@ -405,7 +405,8 @@ type genStream struct {
 	rng     prng
 	buf     []trace.Dyn
 	head    int
-	fill    func(g *genStream)
+	p       GenParams
+	fill    func(p *GenParams, g *genStream)
 	memPct  int
 	nMem    int // memory ops emitted (rotation index)
 	nNonMem int // every other op, fixed or filler
@@ -417,7 +418,7 @@ func (g *genStream) Next(d *trace.Dyn) bool {
 	for g.head >= len(g.buf) {
 		g.buf = g.buf[:0]
 		g.head = 0
-		g.fill(g)
+		g.fill(&g.p, g)
 	}
 	*d = g.buf[g.head]
 	g.head++
@@ -496,7 +497,7 @@ func zipfRank(rng *prng, n uint64, skewPct int) uint64 {
 // fillZipf emits one key-value operation: pick a record by skewed
 // popularity, load it (one load per 64B of record up to 2), and with
 // UpdatePct probability write it back.
-func (p GenParams) fillZipf(g *genStream) {
+func (p *GenParams) fillZipf(g *genStream) {
 	keys := pow2(uint64(p.Keys))
 	rank := zipfRank(&g.rng, keys, p.SkewPct)
 	slot := scatter(rank, keys, p.Seed)
@@ -513,7 +514,7 @@ func (p GenParams) fillZipf(g *genStream) {
 
 // fillHashJoin emits one probe: a sequential scan load of the probe tuple,
 // a couple of hash ops, then Chain dependent hops through the bucket table.
-func (p GenParams) fillHashJoin(g *genStream) {
+func (p *GenParams) fillHashJoin(g *genStream) {
 	probeRegion := pow2(uint64(p.Footprint))
 	probe := genHeapBase + (uint64(g.nMem)*16)&(probeRegion-1)
 	dst := genLoadDst(g.nMem)
@@ -539,7 +540,7 @@ func (p GenParams) fillHashJoin(g *genStream) {
 // pool slice; the load's address operand is the lane's own previous
 // result, so each lane is a pure serial dependence chain and the lanes
 // advance in lockstep.
-func (p GenParams) fillChase(g *genStream) {
+func (p *GenParams) fillChase(g *genStream) {
 	cells := pow2(uint64(p.Footprint) / 16)
 	per := cells / pow2(uint64(p.Lanes))
 	if per == 0 {
@@ -556,7 +557,7 @@ func (p GenParams) fillChase(g *genStream) {
 // fillGCSweep emits one object visit: load the header Stride bytes past
 // the previous one (wrapping over the heap), and mark MarkPct of objects
 // with a store to the header's second word.
-func (p GenParams) fillGCSweep(g *genStream) {
+func (p *GenParams) fillGCSweep(g *genStream) {
 	heap := pow2(uint64(p.Footprint))
 	pos := (uint64(g.nMem) * uint64(p.Stride)) & (heap - 1)
 	dst := genLoadDst(g.nMem)
@@ -572,7 +573,7 @@ func (p GenParams) fillGCSweep(g *genStream) {
 // Context behaviors cycle streaming / strided / hot-set — three programs
 // that individually have unremarkable streams but fight over banks when
 // interleaved.
-func (p GenParams) fillMultiprog(g *genStream) {
+func (p *GenParams) fillMultiprog(g *genStream) {
 	window := pow2(uint64(p.Footprint))
 	// Which context's turn: quanta rotate round-robin.
 	turn := g.seq / uint64(p.Quantum) % uint64(p.Contexts)
