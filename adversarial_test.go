@@ -3,34 +3,73 @@ package lbic_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"lbic"
-	"lbic/internal/advsearch"
 )
+
+// adversarialMetaSchema identifies the .meta.json record stored beside each
+// artifact in testdata/adversarial.
+const adversarialMetaSchema = "lbic-adversarial-meta/v1"
+
+// adversarialMeta is one artifact's .meta.json: the generator parameters,
+// port and budget its stream and report derive from, and the score that
+// replaying the stream measures.
+type adversarialMeta struct {
+	Schema string `json:"schema"`
+	// Name is the artifact base name; the stream inside the .lbictrace file
+	// carries the generator parameter key instead.
+	Name   string         `json:"name"`
+	Port   string         `json:"port"`
+	Insts  uint64         `json:"insts"`
+	Params lbic.GenParams `json:"params"`
+	Score  struct {
+		Conflicts    uint64  `json:"conflicts"`
+		Accesses     uint64  `json:"accesses"`
+		ConflictRate float64 `json:"conflict_rate"`
+		IPC          float64 `json:"ipc"`
+		Cycles       uint64  `json:"cycles"`
+	} `json:"score"`
+	// Search records the parameter search that first found the stream. No
+	// artifact derives from it, so it is kept as written.
+	Search json.RawMessage `json:"search"`
+}
+
+// updating reports whether the package's -update flag (report_test.go) asks
+// golden tests to rewrite their files.
+func updating() bool { return flag.Lookup("update").Value.String() == "true" }
 
 // loadAdversarialMetas discovers the checked-in adversarial workload corpus
 // (testdata/adversarial/*.meta.json).
-func loadAdversarialMetas(t *testing.T) []advsearch.Meta {
+func loadAdversarialMetas(t *testing.T) []adversarialMeta {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "adversarial", "*.meta.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas := make([]advsearch.Meta, len(paths))
+	metas := make([]adversarialMeta, len(paths))
 	for i, p := range paths {
-		if metas[i], err = advsearch.LoadMeta(p); err != nil {
+		raw, err := os.ReadFile(p)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &metas[i]); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if metas[i].Schema != adversarialMetaSchema {
+			t.Fatalf("%s: schema %q, want %q", p, metas[i].Schema, adversarialMetaSchema)
 		}
 	}
 	return metas
 }
 
 // TestAdversarialCorpusPresent pins the acceptance floor: the repository
-// carries at least two search-discovered adversarial streams.
+// carries at least two adversarial streams.
 func TestAdversarialCorpusPresent(t *testing.T) {
 	if n := len(loadAdversarialMetas(t)); n < 2 {
 		t.Fatalf("adversarial corpus has %d workloads, want >= 2", n)
@@ -42,12 +81,29 @@ func TestAdversarialCorpusPresent(t *testing.T) {
 // stored .report.json byte-for-byte, and the stream itself is re-derivable
 // from the recorded generator parameters. Any drift in the generators, the
 // trace codec, the timing core, or the report serialization fails here.
+//
+// With -update it first rewrites each artifact from its meta record alone:
+// the .lbictrace recorded from params at insts, the .report.json of
+// replaying that file on port, and the meta's score from the same replay.
 func TestAdversarialReplayByteIdentical(t *testing.T) {
 	for _, m := range loadAdversarialMetas(t) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			dir := filepath.Join("testdata", "adversarial")
+			regen, err := lbic.RecordGeneratorTrace(m.Params, m.Insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reenc bytes.Buffer
+			if err := lbic.WriteTraceStream(&reenc, regen); err != nil {
+				t.Fatal(err)
+			}
+			if updating() {
+				if err := os.WriteFile(filepath.Join(dir, m.Name+".lbictrace"), reenc.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			raw, err := os.ReadFile(filepath.Join(dir, m.Name+".lbictrace"))
 			if err != nil {
 				t.Fatal(err)
@@ -62,14 +118,6 @@ func TestAdversarialReplayByteIdentical(t *testing.T) {
 
 			// Provenance: the parameters in the meta record regenerate the
 			// checked-in stream exactly.
-			regen, err := lbic.RecordGeneratorTrace(m.Params, m.Insts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reenc bytes.Buffer
-			if err := lbic.WriteTraceStream(&reenc, regen); err != nil {
-				t.Fatal(err)
-			}
 			if !bytes.Equal(raw, reenc.Bytes()) {
 				t.Error("re-generating from meta params does not reproduce the checked-in stream")
 			}
@@ -86,16 +134,19 @@ func TestAdversarialReplayByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(dir, m.Name+".report.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var got bytes.Buffer
 			if err := lbic.NewReport(res).WriteJSON(&got); err != nil {
 				t.Fatal(err)
 			}
+			if updating() {
+				writeAdversarialReport(t, dir, &m, got.Bytes(), &res)
+			}
+			want, err := os.ReadFile(filepath.Join(dir, m.Name+".report.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("replayed report differs from stored %s.report.json (%d vs %d bytes); regenerate deliberately with scripts/advsearch",
+				t.Errorf("replayed report differs from stored %s.report.json (%d vs %d bytes); regenerate deliberately with go test -run TestAdversarialReplayByteIdentical -update .",
 					m.Name, got.Len(), len(want))
 			}
 			if rate := res.PortConflictRate(); rate < m.Score.ConflictRate*0.999 || rate > m.Score.ConflictRate*1.001 {
@@ -105,11 +156,31 @@ func TestAdversarialReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// writeAdversarialReport rewrites an artifact's .report.json with report,
+// and its .meta.json, and m, with the score res measures.
+func writeAdversarialReport(t *testing.T, dir string, m *adversarialMeta, report []byte, res *lbic.Result) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, m.Name+".report.json"), report, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Score.Conflicts = res.PortConflicts()
+	m.Score.Accesses = res.PortAccesses()
+	m.Score.ConflictRate = res.PortConflictRate()
+	m.Score.IPC = res.IPC
+	m.Score.Cycles = res.Cycles
+	enc, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.Name+".meta.json"), append(enc, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdversarialBeatsEveryKernel is the discovery claim: each minted
 // stream's same-bank conflict rate on its target organization exceeds that
 // of every synthetic SPEC95 kernel at the same instruction budget. The
-// search genuinely found pressure the paper's workload suite does not
-// exercise.
+// streams carry pressure the paper's workload suite does not exercise.
 func TestAdversarialBeatsEveryKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10-kernel sweep per artifact in -short mode")

@@ -63,9 +63,8 @@ func workloadMatrix(sw *Sweep) func() *stats.Table {
 }
 
 // workloadConflicts is the same sweep viewed through the port subsystem:
-// same-bank conflicts per access on each organization. Rates can exceed 1 —
-// a request that stalls re-conflicts every cycle it waits — which is
-// exactly the pressure the adversarial search maximizes.
+// same-bank conflicts per access on each organization. Rates can exceed 1:
+// a request that stalls re-conflicts every cycle it waits.
 func workloadConflicts(sw *Sweep) func() *stats.Table {
 	return workloadGrid(sw, "Workload-generator matrix (bank conflicts per access)",
 		(*Sweep).simGenConflict, formatRate)

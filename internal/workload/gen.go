@@ -18,13 +18,12 @@ import (
 // streams are infinite (the simulation budget bounds them). Every
 // generator is a pure function of its GenParams: same params, same stream,
 // on every platform — the property the golden tests and the adversarial
-// regression corpus depend on. All arithmetic is integer-only for exactly
+// regression artifacts depend on. All arithmetic is integer-only for exactly
 // that reason.
 
 // GenParams selects and parameterizes one synthetic stream generator.
-// Zero-valued fields take the kind's defaults (see Generators). The struct
-// is the unit of mutation for the adversarial search: every field is an
-// integer with a documented range, enforced by Validate.
+// Zero-valued fields take the kind's defaults (see Generators). Every field
+// is an integer with a documented range, enforced by Validate.
 type GenParams struct {
 	// Kind is the generator family: "zipf", "hashjoin", "chase", "gcsweep"
 	// or "multiprog".
@@ -213,8 +212,7 @@ func (p GenParams) withDefaults() (GenParams, error) {
 	return p, nil
 }
 
-// Field ranges, shared with the adversarial mutator. A range of [0,0] for a
-// kind means the field is unused there.
+// Field ranges, enforced by Validate through the GenField table.
 const (
 	GenMaxKeys      = 1 << 22
 	GenMaxRecord    = 1 << 12
@@ -228,9 +226,9 @@ const (
 	GenMinFootprint = 1 << 12
 )
 
-// GenField describes one mutable parameter of a generator kind: its JSON
-// name, bounds, and accessor. The adversarial mutator walks this table
-// rather than hand-rolling per-kind perturbation code.
+// GenField describes one parameter of a generator kind: its JSON name,
+// bounds, and accessor. Validate, Key and the defaults fill walk this table
+// rather than hand-rolling per-kind field code.
 type GenField struct {
 	Name   string
 	Min    int64
@@ -348,8 +346,8 @@ func (p GenParams) Resolve() (GenParams, error) {
 func (p GenParams) Key() string {
 	q, err := p.Resolve()
 	if err != nil {
-		// An invalid param set still needs a distinguishable key (the
-		// search journal logs them); make one from the raw struct.
+		// Key has no error return, so an invalid param set still gets a
+		// distinguishable key, made from the raw struct.
 		return fmt.Sprintf("gen:%s:invalid:%+v", p.Kind, p)
 	}
 	var b strings.Builder

@@ -127,7 +127,7 @@ func TestGenKeyStable(t *testing.T) {
 
 // TestGeneratorGolden pins the first 64 memory accesses of every catalog
 // generator. A diff here means generator drift: every golden table, trace
-// file and adversarial regression built on these streams shifts with it.
+// file and adversarial artifact built on these streams shifts with it.
 // Regenerate deliberately with scripts/regen-golden.
 func TestGeneratorGolden(t *testing.T) {
 	for _, g := range Generators() {

@@ -139,8 +139,7 @@ func PortNameExamples() string {
 }
 
 // PortOrgInfo describes one registered port organization, for tooling that
-// enumerates the taxonomy (docs, the adversarial search's port axis, the
-// lbicd schema listing).
+// enumerates the taxonomy, such as the benchmark under lbicbench/.
 type PortOrgInfo struct {
 	Kind PortKind
 	// Token is the canonical serialization token (the Name/Key prefix).
@@ -174,9 +173,9 @@ func PortOrganizations() []PortOrgInfo {
 	return out
 }
 
-// PortAxis returns the default port-organization axis for experiment sweeps
-// and the adversarial search: every registered kind's representative
-// configurations, in registration order. Kinds without representatives
+// PortAxis returns the default port-organization axis for experiment
+// sweeps: every registered kind's representative configurations, in
+// registration order. Kinds without representatives
 // (virtual multiporting, custom ports) contribute nothing.
 func PortAxis() []PortConfig {
 	var out []PortConfig

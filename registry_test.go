@@ -108,8 +108,8 @@ func TestRegistryCompleteness(t *testing.T) {
 			t.Errorf("axis config %s: %v", p.Key(), err)
 		}
 	}
-	// Coded must be on the default axis: the sweeps, workload tables, and
-	// port-roaming adversarial search all derive their columns from it.
+	// Coded must be on the default axis: the sweeps and workload tables
+	// derive their columns from it.
 	found := false
 	for _, p := range axis {
 		if p.Kind == Coded {

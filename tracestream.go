@@ -4,10 +4,10 @@ package lbic
 // format (see WORKLOADS.md and internal/tracecache/stream.go for the byte
 // layout) and of the internal/workload generator family. Together they open
 // the workload aperture beyond the ten built-in SPEC95-like kernels: any
-// address trace — captured from a real program, emitted by a parameterized
-// generator, or minted by the adversarial search harness — becomes a
-// first-class simulation input that produces the same Result (and the same
-// lbic-run-report/v1 JSON) as a built-in benchmark run.
+// address trace — captured from a real program or emitted by a
+// parameterized generator — becomes a first-class simulation input that
+// produces the same Result (and the same lbic-run-report/v1 JSON) as a
+// built-in benchmark run.
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ type (
 	// GenInfo describes one generator kind in the catalog.
 	GenInfo = workload.GenInfo
 	// GenField describes one tunable generator parameter with its legal
-	// range — the mutation surface the adversarial search harness perturbs.
+	// range.
 	GenField = workload.GenField
 )
 
@@ -43,11 +43,6 @@ func Generators() []GenInfo { return workload.Generators() }
 
 // GeneratorKinds lists the generator kind names in catalog order.
 func GeneratorKinds() []string { return workload.GenKinds() }
-
-// DefaultGeneratorParams returns the catalog defaults for a generator kind.
-func DefaultGeneratorParams(kind string) (GenParams, error) {
-	return workload.DefaultGenParams(kind)
-}
 
 // GeneratorFields lists the tunable parameters of a generator kind with
 // their legal ranges (empty for unknown kinds).
