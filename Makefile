@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff bench-ab tables-golden lbicd-smoke adversarial-replay doc-commands pgo tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check bench-smoke bench-ab tables-golden lbicd-smoke adversarial-replay doc-commands pgo tables ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -33,20 +33,9 @@ check:
 test-short:
 	$(GO) test -short ./...
 
-# bench runs the full benchmark suite (table regenerations, simulator
-# throughput live vs trace replay, the zero-alloc core microbenchmark, the
-# lane-batched stepping microbenchmark, the coded-banks arbiter step cost,
-# and the lbicd served-vs-direct latency comparison) and records the results
-# as JSON. BENCH_PR10.json in the repo root is the checked-in snapshot;
-# regenerate it here after performance work.
-BENCH_OUT ?= BENCH_PR10.json
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/cpu/ ./internal/server/ \
-		| $(GO) run ./scripts/benchjson -o $(BENCH_OUT)
-
-# bench-smoke is the CI gate: one iteration of every benchmark, parsed by
-# benchjson so a broken benchmark or malformed output fails the build, plus
-# one table sweep so the lane-batched sweep path is exercised end to end. It
+# bench-smoke is the CI gate: one iteration of every benchmark in every
+# package, so a benchmark that fails fails the build, plus one table sweep so
+# the lane-batched sweep path is exercised end to end. It
 # also fails when a plain build of lbictables, lbicd or lbicsim no longer
 # picks up its default.pgo, or when the three profiles differ (make pgo
 # writes one merged profile to all three), so a moved or deleted profile
@@ -56,8 +45,7 @@ bench:
 # renamed or deleted after the profile was taken, and the profile is stale.
 PGO_MAINS = lbictables lbicd lbicsim
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
-		| $(GO) run ./scripts/benchjson -o /dev/null
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 > /dev/null
 	for cmd in $(PGO_MAINS); do \
 		$(GO) build -o /tmp/$$cmd-pgo-check ./cmd/$$cmd || exit 1; \
@@ -103,25 +91,19 @@ tables-golden:
 			| cmp - lbicbench/driver/testdata/paper-tables.json || exit 1; \
 	done
 
-# bench-ab is a paired A/B of the micro-benchmarks (every BenchmarkGrant
-# leg, BenchmarkCoreStep, BenchmarkLaneStep/k1) between BASE (default: the
-# merge-base with main) and the working tree: ROUNDS rounds, alternating
-# which side runs first. It fails when a leg's median is more than 10% worse
-# and the two min-max ranges separate (scripts/benchab).
+# bench-ab is the performance gate, run by CI against the base commit: a
+# paired A/B of the micro-benchmarks (BenchmarkCoreStep, BenchmarkLaneStep
+# k1 and k4, every BenchmarkGrant leg, BenchmarkRunFixed k1 and k8, and the
+# replay legs of BenchmarkSimulatorThroughput) between BASE (default: the
+# merge-base with main) and the working tree. Each of ROUNDS rounds runs
+# every leg once on each side for 20 ms, alternating which side goes first.
+# A leg fails when the 95% bootstrap interval of its median per-round ratio
+# lies wholly above 1.05, unless its head median is under 10 ns/op
+# (scripts/benchab).
 BASE ?=
-ROUNDS ?= 10
+ROUNDS ?= 100
 bench-ab:
 	$(GO) run ./scripts/benchab -base "$(BASE)" -rounds $(ROUNDS)
-
-# bench-diff compares two checked-in benchmark snapshots: ns/op drift past
-# the threshold fails unless BENCH_ALLOWLIST.json acknowledges it with a
-# reason. It runs no code, so it checks only the two files; by default both
-# date from the same change, and it passes whatever the tree does.
-BENCH_OLD ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
-bench-diff:
-	$(GO) run ./scripts/benchjson -diff $(BENCH_OLD) -against $(BENCH_NEW) \
-		-threshold 10 -allowlist BENCH_ALLOWLIST.json
 
 # lbicd-smoke starts a real lbicd, checks a served report is byte-identical
 # to the direct in-process run, that a repeat request is a cache hit, that a
@@ -181,8 +163,11 @@ fuzz:
 	$(GO) test ./internal/tracecache/ -fuzz FuzzTraceStreamDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/ -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)
 
-reproduce:
-	./scripts/reproduce.sh
+# reproduce rebuilds, vets and tests everything, then regenerates every
+# table, figure and ablation of EXPERIMENTS.md at the default budget and runs
+# each root-package benchmark once.
+reproduce: build vet test tables ablations
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 
 clean:
 	$(GO) clean ./...

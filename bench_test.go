@@ -128,29 +128,6 @@ func BenchmarkFigure4cScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkCodedArbiterStep measures the per-cycle grant cost of the coded
-// organizations against plain banking on the worst-case ready set (a
-// same-bank burst, where every cycle walks the reconstruction path).
-func BenchmarkCodedArbiterStep(b *testing.B) {
-	refs := []lbic.Ref{{Addr: 0}, {Addr: 8}, {Addr: 16}, {Addr: 24}}
-	spec := lbic.CodedPort(4, 1)
-	spec.Speculative = true
-	composed := lbic.CodedPort(4, 1)
-	composed.LinePorts = 2
-	for _, port := range []lbic.PortConfig{
-		lbic.BankedPort(4), lbic.CodedPort(4, 1), lbic.CodedPort(4, 2), spec, composed,
-	} {
-		b.Run(port.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := lbic.ScenarioCycles(port, refs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBankSelection sweeps the §3.2 bank selection functions.
 func BenchmarkAblationBankSelection(b *testing.B) {
 	b.ReportAllocs()

@@ -1,7 +1,8 @@
 // Package metrics provides the simulator's observability primitives:
 // monotonic counters, fixed-bucket integer histograms, and per-cycle
 // occupancy gauges, collected into an ordered Registry that exports as
-// aligned text, Markdown (via internal/stats tables), or JSON.
+// aligned text (via internal/stats tables), a JSON Snapshot, or Prometheus
+// exposition.
 //
 // The hot layers (cpu, cache, ports, core) own their metric objects
 // directly — Observe and Sample are plain slice/field updates with no
@@ -334,16 +335,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			return err
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteMarkdown renders every table as GitHub-flavored Markdown.
-func (r *Registry) WriteMarkdown(w io.Writer) error {
-	for _, t := range r.Tables() {
-		if err := t.Markdown(w); err != nil {
 			return err
 		}
 	}

@@ -133,13 +133,6 @@ func TestTablesRender(t *testing.T) {
 			t.Errorf("rendered tables missing %q:\n%s", want, out)
 		}
 	}
-	buf.Reset()
-	if err := r.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "| committing | 10 |") {
-		t.Errorf("markdown output missing bucket row:\n%s", buf.String())
-	}
 }
 
 func TestHistogramElidesEmptyTail(t *testing.T) {

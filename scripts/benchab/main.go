@@ -1,16 +1,19 @@
-// Command benchab is a paired A/B of the micro-benchmarks between a base
-// revision and the working tree (`make bench-ab`). It extracts the base with
-// `git archive` into a temporary directory, builds `go test -c` binaries of
-// each benchmarked package at the base and in the working tree, and runs
-// every benchmark on both for a number of rounds at 1 s on one CPU,
-// alternating which side goes first, so host drift hits both builds alike.
-// Per leg it prints the median, quartiles and min–max of ns/op on each side,
-// their ratio, and the allocations per op.
+// Command benchab is the repository's performance gate (`make bench-ab`): a
+// paired A/B of the micro-benchmarks between a base revision and the working
+// tree. It extracts the base with `git archive` into a temporary directory,
+// builds one `go test -c` binary per benchmarked package on each side, and
+// runs every benchmark on both for a number of rounds of short (20 ms)
+// samples on one CPU, alternating which side goes first, so host drift hits
+// both builds alike.
 //
-//	go run ./scripts/benchab [-base REV] [-rounds 10] [PKG:REGEXP ...]
+//	go run ./scripts/benchab [-base REV] [-rounds 100] [PKG:REGEXP ...]
 //
-// It exits 1 when a leg's median on the working tree is more than 10% above
-// the base's and the two min–max ranges do not overlap.
+// The two samples of a leg in one round are a pair. Per leg it prints each
+// side's median ns/op, the median of the per-round ratios head ÷ base, and a
+// 95% bootstrap interval on that median (fixed seed, so the same samples give
+// the same verdict). It exits 1 when a leg's whole interval lies above
+// 1 + threshold, unless the leg's head median is under the absolute floor,
+// where the timing is mostly the benchmark's own loop.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,28 +30,44 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // defaultSpecs are the benchmarks compared when none are named: every
-// arbiter's grant, and the core's step on the plain bank-4 loop, alone and
+// arbiter's grant, a run's fixed cost alone and as a lane batch, whole
+// replayed runs, and the core's step on the plain bank-4 loop, alone and
 // through the lane scheduler.
 var defaultSpecs = []string{
 	".:^BenchmarkGrant$",
+	".:^BenchmarkRunFixed$/^k[18]$",
+	".:^BenchmarkSimulatorThroughput$/.*/.*/^replay$",
 	"./internal/cpu:^BenchmarkCoreStep$",
-	"./internal/cpu:^BenchmarkLaneStep$/^k1$",
+	"./internal/cpu:^BenchmarkLaneStep$/^k[14]$",
 }
 
-// threshold is the fraction by which a leg's median may exceed the base's
-// before separated min–max ranges fail the run.
-const threshold = 0.10
+const (
+	// threshold is the slowdown a leg's interval must lie wholly above to
+	// fail. It sits below a 10% regression by more than the interval
+	// half-widths measured on identical code (EXPERIMENTS.md).
+	threshold = 0.05
+	// floorNs is the head median under which a leg never fails: a few
+	// nanoseconds are mostly the benchmark loop, which moves with layout.
+	floorNs = 10.0
+	// resamples and seed fix the bootstrap.
+	resamples = 2000
+	seed      = 1
+)
 
-// runFlags are passed to every benchmark run on both sides.
-var runFlags = []string{"-test.run=^$", "-test.benchmem", "-test.benchtime=1s", "-test.cpu=1", "-test.timeout=30m"}
+// runFlags are passed to every benchmark run on both sides. Samples are
+// short so that a run holds many pairs: at equal wall time, 20 ms samples
+// gave intervals as narrow as 100 ms ones and narrower than 200 ms ones
+// (EXPERIMENTS.md).
+var runFlags = []string{"-test.run=^$", "-test.benchmem", "-test.benchtime=20ms", "-test.cpu=1", "-test.timeout=30m"}
 
 // spec is one benchmark selection: a package directory and a -bench regexp.
 type spec struct{ pkg, pattern string }
 
-// sample is one leg's measurements on one side.
+// sample is one leg's measurements on one side, one per round.
 type sample struct {
 	ns     []float64
 	allocs []float64
@@ -55,7 +75,7 @@ type sample struct {
 
 func main() {
 	base := flag.String("base", "", "base revision (default: the merge-base of HEAD and main)")
-	rounds := flag.Int("rounds", 10, "rounds; each runs every benchmark once on each side")
+	rounds := flag.Int("rounds", 100, "rounds; each runs every benchmark once on each side")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -76,12 +96,15 @@ func main() {
 		}
 		*base = strings.TrimSpace(string(out))
 	}
+	start := time.Now()
 	fmt.Printf("base %s vs working tree: %d rounds\n", short(*base), *rounds)
 	legs, results, err := run(*base, specs, *rounds)
 	if err != nil {
 		fatal(err)
 	}
-	if report(os.Stdout, legs, results) {
+	failed := report(os.Stdout, legs, results)
+	fmt.Printf("wall %s\n", time.Since(start).Round(time.Second))
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -104,10 +127,14 @@ func run(base string, specs []spec, rounds int) ([]string, [2]map[string]*sample
 	if err := extract(base, tmp, trees[0]); err != nil {
 		return nil, results, err
 	}
-	var bins [2][]string
+	// One binary per package and side, however many specs name the package.
+	bins := [2]map[string]string{{}, {}}
 	for side, tree := range trees {
-		for i, s := range specs {
-			bin := filepath.Join(tmp, fmt.Sprintf("side%d-spec%d.test", side, i))
+		for _, s := range specs {
+			if bins[side][s.pkg] != "" {
+				continue
+			}
+			bin := filepath.Join(tmp, fmt.Sprintf("side%d-pkg%d.test", side, len(bins[side])))
 			// -trimpath keeps the checkout's path out of the binary, so
 			// an A/A run compares byte-identical binaries.
 			cmd := exec.Command("go", "test", "-c", "-trimpath", "-o", bin, s.pkg)
@@ -115,18 +142,18 @@ func run(base string, specs []spec, rounds int) ([]string, [2]map[string]*sample
 			if err := cmd.Run(); err != nil {
 				return nil, results, fmt.Errorf("building %s in %s: %w", s.pkg, tree, err)
 			}
-			bins[side] = append(bins[side], bin)
+			bins[side][s.pkg] = bin
 		}
 	}
 	var legs []string
 	for r := 0; r < rounds; r++ {
-		for i, s := range specs {
+		for _, s := range specs {
 			order := [2]int{0, 1}
 			if r%2 == 1 {
 				order = [2]int{1, 0}
 			}
 			for _, side := range order {
-				cmd := exec.Command(bins[side][i], append(runFlags, "-test.bench="+s.pattern)...)
+				cmd := exec.Command(bins[side][s.pkg], append(runFlags, "-test.bench="+s.pattern)...)
 				cmd.Dir, cmd.Stderr = filepath.Join(trees[side], s.pkg), os.Stderr
 				out, err := cmd.Output()
 				if err != nil {
@@ -153,46 +180,79 @@ func run(base string, specs []spec, rounds int) ([]string, [2]map[string]*sample
 
 // report prints one row per leg and returns whether any leg regressed.
 func report(w io.Writer, legs []string, results [2]map[string]*sample) bool {
-	fmt.Fprintf(w, "%-28s %-5s %-36s %-36s %6s %s\n", "leg", "unit", "base median [q1-q3] (min-max)",
-		"head median [q1-q3] (min-max)", "ratio", "allocs/op base/head")
+	fmt.Fprintf(w, "fails when the 95%% interval of the median paired ratio lies above %.2f; never under %.0f ns/op\n",
+		1+threshold, floorNs)
+	fmt.Fprintf(w, "%-54s %-4s %9s %9s %6s %-15s %-19s %s\n", "leg", "unit", "base", "head", "ratio",
+		"95% interval", "allocs/op base/head", "verdict")
 	failed := false
 	for _, leg := range legs {
 		b, h := results[0][leg], results[1][leg]
 		if b == nil || h == nil {
-			fmt.Fprintf(w, "%-28s only on one side\n", leg)
+			fmt.Fprintf(w, "%-54s on one side only\n", leg)
 			continue
 		}
-		bs, hs := summarize(b.ns), summarize(h.ns)
-		ratio := hs.median / bs.median
-		verdict := ""
-		if ratio > 1+threshold && hs.min > bs.max {
-			verdict, failed = "  REGRESSION", true
-		}
+		v := judge(b.ns, h.ns)
+		failed = failed || v.fail
+		bm, hm := median(b.ns), median(h.ns)
 		unit, scale := "ns", 1.0
 		switch {
-		case bs.median >= 1e6:
+		case bm >= 1e6:
 			unit, scale = "ms", 1e6
-		case bs.median >= 1e3:
+		case bm >= 1e3:
 			unit, scale = "us", 1e3
 		}
-		fmt.Fprintf(w, "%-28s %-5s %-36s %-36s %6.3f %.0f/%.0f%s\n", leg, unit, bs.format(scale), hs.format(scale),
-			ratio, summarize(b.allocs).max, summarize(h.allocs).max, verdict)
+		fmt.Fprintf(w, "%-54s %-4s %9.4g %9.4g %6.3f [%.3f-%.3f]   %9.0f/%-9.0f %s\n", leg, unit, bm/scale, hm/scale,
+			v.ratio, v.lo, v.hi, slices.Max(b.allocs), slices.Max(h.allocs), v.label())
 	}
 	return failed
 }
 
-// stats summarizes one side's runs of a leg.
-type stats struct{ median, q1, q3, min, max float64 }
-
-// format renders the summary in units of scale nanoseconds.
-func (s stats) format(scale float64) string {
-	return fmt.Sprintf("%.4g [%.4g-%.4g] (%.4g-%.4g)", s.median/scale, s.q1/scale, s.q3/scale, s.min/scale, s.max/scale)
+// verdict is the decision on one leg.
+type verdict struct {
+	ratio, lo, hi float64 // median paired ratio and its 95% interval
+	floor         bool    // head median under floorNs
+	fail          bool
 }
 
-func summarize(xs []float64) stats {
+func (v verdict) label() string {
+	switch {
+	case v.fail:
+		return "REGRESSION"
+	case v.floor:
+		return "under floor"
+	}
+	return "ok"
+}
+
+// judge decides one leg from its per-round samples, base[r] and head[r]
+// taken in the same round. It bootstraps the median of the ratios
+// head[r]/base[r] with a fixed seed and fails the leg when the whole 95%
+// interval lies above 1 + threshold and the head median is at least floorNs.
+func judge(base, head []float64) verdict {
+	ratios := make([]float64, len(base))
+	for i := range base {
+		ratios[i] = head[i] / base[i]
+	}
+	rng := rand.New(rand.NewPCG(seed, seed))
+	meds := make([]float64, resamples)
+	draw := make([]float64, len(ratios))
+	for i := range meds {
+		for j := range draw {
+			draw[j] = ratios[rng.IntN(len(ratios))]
+		}
+		meds[i] = median(draw)
+	}
+	slices.Sort(meds)
+	v := verdict{ratio: median(ratios), lo: quantile(meds, 0.025), hi: quantile(meds, 0.975)}
+	v.floor = median(head) < floorNs
+	v.fail = v.lo > 1+threshold && !v.floor
+	return v
+}
+
+func median(xs []float64) float64 {
 	s := slices.Clone(xs)
 	slices.Sort(s)
-	return stats{median: quantile(s, 0.5), q1: quantile(s, 0.25), q3: quantile(s, 0.75), min: s[0], max: s[len(s)-1]}
+	return quantile(s, 0.5)
 }
 
 // quantile interpolates linearly between the closest ranks of sorted s.

@@ -4,7 +4,8 @@
 // skill it collects each line that runs a repository binary (`go run
 // ./cmd/X` or `/tmp/bin/X`, with `\` continuations joined) and runs them in
 // document order under `bash -o pipefail`, in one scratch directory with
-// examples/ and testdata/ linked in:
+// examples/ and testdata/ linked in. A `make TARGET` line is not run, but its
+// target must be a rule of the Makefile.
 //
 //   - the binaries are built once, into the scratch directory, and every
 //     /tmp/ path on a line is moved into it, so nothing lands in the tree;
@@ -55,6 +56,8 @@ var (
 	debugFlag   = regexp.MustCompile(`\s-debug-addr[ =]\S+`)
 	serverFlag  = regexp.MustCompile(`\s-server[ =]\S+`)
 	background  = regexp.MustCompile(`\s*&\s*(#.*)?$`)
+	makeCall    = regexp.MustCompile(`\bmake((?:\s+[^\s|;&#>]+)+)`)
+	makeRule    = regexp.MustCompile(`^([A-Za-z0-9][\w.-]*(?:[ \t]+[\w.-]+)*)[ \t]*:(?:[^=]|$)`)
 )
 
 const (
@@ -89,9 +92,13 @@ func runDocs() (failed int, err error) {
 	if err != nil {
 		return 0, err
 	}
+	rules, err := makeRules("Makefile")
+	if err != nil {
+		return 0, err
+	}
 	var ran int
 	for _, doc := range docs {
-		r, f, err := runDoc(doc, scratch, takesInsts)
+		r, f, err := runDoc(doc, scratch, takesInsts, rules)
 		ran, failed = ran+r, failed+f
 		if err != nil {
 			return failed, err
@@ -102,9 +109,10 @@ func runDocs() (failed int, err error) {
 }
 
 // runDoc runs one document's lines in order and returns how many ran and
-// how many failed. Its lbicd, if it started one, is stopped on return.
-func runDoc(doc, scratch string, takesInsts map[string]bool) (ran, failed int, err error) {
-	lines, err := commandLines(doc)
+// how many failed, counting each make target that is not a rule as a
+// failure. Its lbicd, if it started one, is stopped on return.
+func runDoc(doc, scratch string, takesInsts, rules map[string]bool) (ran, failed int, err error) {
+	lines, err := fencedLines(doc)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -122,6 +130,13 @@ func runDoc(doc, scratch string, takesInsts map[string]bool) (ran, failed int, e
 		srv = nil
 	}
 	for _, line := range lines {
+		for _, target := range unknownTargets(line, rules) {
+			failed++
+			fmt.Printf("FAIL  %s: %s\n      the Makefile has no rule %q\n", doc, line, target)
+		}
+		if !runsBinary.MatchString(line) {
+			continue
+		}
 		want := 0
 		if failing.MatchString(line) {
 			want = 1
@@ -311,9 +326,9 @@ func probeInsts(bin string) (map[string]bool, error) {
 	return takes, nil
 }
 
-// commandLines returns the lines of doc's fenced code blocks that run a
-// repository binary, with continuations joined.
-func commandLines(doc string) ([]string, error) {
+// fencedLines returns the lines of doc's fenced code blocks, with
+// continuations joined.
+func fencedLines(doc string) ([]string, error) {
 	f, err := os.Open(doc)
 	if err != nil {
 		return nil, err
@@ -337,13 +352,42 @@ func commandLines(doc string) ([]string, error) {
 			pending += strings.TrimSpace(cont) + " "
 			continue
 		}
-		line := pending + strings.TrimSpace(text)
+		lines = append(lines, pending+strings.TrimSpace(text))
 		pending = ""
-		if runsBinary.MatchString(line) {
-			lines = append(lines, line)
-		}
 	}
 	return lines, sc.Err()
+}
+
+// makeRules returns the names of the rules of the Makefile at path.
+func makeRules(path string) (map[string]bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	rules := map[string]bool{}
+	for _, l := range strings.Split(string(data), "\n") {
+		if m := makeRule.FindStringSubmatch(l); m != nil {
+			for _, name := range strings.Fields(m[1]) {
+				rules[name] = true
+			}
+		}
+	}
+	return rules, nil
+}
+
+// unknownTargets returns the targets line asks make for that are not rules:
+// every word after `make` up to a pipe, list, redirect or comment, except
+// flags and variable assignments.
+func unknownTargets(line string, rules map[string]bool) []string {
+	var unknown []string
+	for _, m := range makeCall.FindAllStringSubmatch(line, -1) {
+		for _, w := range strings.Fields(m[1]) {
+			if !strings.HasPrefix(w, "-") && !strings.Contains(w, "=") && !rules[w] {
+				unknown = append(unknown, w)
+			}
+		}
+	}
+	return unknown
 }
 
 // rewrite points line at the scratch directory's binaries and paths and, when
